@@ -13,9 +13,9 @@
 // shutdown — and recovered at startup, so a dead feed plus a restart
 // still yields a serving daemon.
 //
-// SIGINT/SIGTERM trigger a graceful shutdown: the server drains queries
-// already accepted, a final checkpoint is written, and the serving
-// counters are printed.
+// SIGINT/SIGTERM trigger a graceful shutdown: the server answers the
+// query batches it has already read, a final checkpoint is written, and
+// the serving counters are printed.
 //
 // With -metrics the daemon exposes its observability surface over HTTP:
 // /metrics (Prometheus text), /metrics.json (JSON snapshot with latency
@@ -41,11 +41,13 @@
 //	curl -s http://127.0.0.1:9090/readyz
 //	curl -s 'http://127.0.0.1:9090/debug/events?kind=query&n=10'
 //
-// With -shards the daemon serves through the batched sharded path
-// instead of the legacy worker pool: N SO_REUSEPORT sockets (where the
-// platform supports them), recvmmsg/sendmmsg batches of -batch
-// datagrams, and a per-shard verdict cache. -tcp adds a TCP listener on
-// the same address for TC-bit retries, and -max-udp shrinks the UDP
+// UDP queries are served by batched shards: -shards SO_REUSEPORT
+// sockets (one per core by default; one shared socket where the
+// platform lacks SO_REUSEPORT), recvmmsg/sendmmsg batches of -batch
+// datagrams, and a per-shard verdict cache. Receive-side overload shows
+// as kernel drops on the sockets; unclean_dnsbl_shed_total counts only
+// responses a socket refused to send. -tcp adds a TCP listener on the
+// same address for TC-bit retries, and -max-udp shrinks the UDP
 // response limit that triggers them.
 //
 // With repeated -feed NAME=PATH flags the daemon serves the feed mesh
@@ -62,7 +64,7 @@
 //	dnsbld [-listen ADDR] [-zone bl.unclean.example] [-threshold 0.6]
 //	       [-scale N] [-seed N] [-selfcheck N] [-metrics ADDR]
 //	       [-reports DIR] [-reload DUR] [-checkpoint PATH]
-//	       [-checkpoint-every DUR] [-halflife DUR] [-workers N] [-queue N]
+//	       [-checkpoint-every DUR] [-halflife DUR]
 //	       [-shards N] [-batch N] [-tcp] [-max-udp N] [-analytics-sample N]
 //	       [-feed NAME=PATH ...] [-mesh-threshold F]
 //	       [-log-format text|json] [-log-level LEVEL] [-flight-dump PATH]
@@ -117,6 +119,10 @@ import (
 // with obs.SetLogOutput (tests do).
 var logger = obs.Logger("dnsbld")
 
+// listenUDP binds the serving sockets (a variable so tests can reach the
+// conns run opens).
+var listenUDP = dnsbl.ListenShards
+
 func main() {
 	// First deferred call so a panic anywhere below still dumps the
 	// flight ring (when a dump path is configured) before dying.
@@ -142,7 +148,6 @@ type options struct {
 	checkpoint      string
 	checkpointEvery time.Duration
 	halfLife        time.Duration
-	workers, queue  int
 	shards, batch   int
 	maxUDP          int
 	analyticsSample int
@@ -173,10 +178,8 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "crash-safe tracker checkpoint path (loaded at startup if present)")
 	fs.DurationVar(&o.checkpointEvery, "checkpoint-every", 5*time.Minute, "periodic checkpoint interval")
 	fs.DurationVar(&o.halfLife, "halflife", 42*24*time.Hour, "tracker evidence half-life")
-	fs.IntVar(&o.workers, "workers", 0, "server worker pool size (0 = GOMAXPROCS; legacy path only)")
-	fs.IntVar(&o.queue, "queue", 0, "server packet queue length (0 = default; legacy path only)")
-	fs.IntVar(&o.shards, "shards", 0, "serve with this many batched SO_REUSEPORT shards (-1 = one per core, 0 = legacy worker pool)")
-	fs.IntVar(&o.batch, "batch", 0, "datagrams per batched syscall on the sharded path (0 = default)")
+	fs.IntVar(&o.shards, "shards", 0, "batched SO_REUSEPORT serving shards (0 or -1 = one per core)")
+	fs.IntVar(&o.batch, "batch", 0, "datagrams per batched recvmmsg/sendmmsg syscall (0 = default)")
 	fs.IntVar(&o.maxUDP, "max-udp", 0, "UDP response size limit; larger answers are truncated with TC set (0 = 512)")
 	fs.IntVar(&o.analyticsSample, "analytics-sample", 64,
 		"sample 1 in N packets into the query-analytics sketches, rounded to a power of two (0 disables analytics and /debug/topk)")
@@ -209,11 +212,11 @@ func parseFlags(args []string) (*options, error) {
 	if o.threshold < 0 || o.threshold > 1 {
 		return nil, fmt.Errorf("-threshold must be in [0, 1]")
 	}
-	// The serving knobs all use documented sentinels (-1 = one shard per
-	// core, 0 = default/disabled); anything below those is a typo worth
-	// naming rather than a mode.
+	// The serving knobs all use documented sentinels (0 = default or
+	// disabled; -shards also keeps -1 = one per core); anything below
+	// those is a typo worth naming rather than a mode.
 	if o.shards < -1 {
-		return nil, fmt.Errorf("-shards must be -1 (one per core), 0 (legacy worker pool), or a positive shard count; got %d", o.shards)
+		return nil, fmt.Errorf("-shards must be 0 or -1 (one per core) or a positive shard count; got %d", o.shards)
 	}
 	if o.batch < 0 {
 		return nil, fmt.Errorf("-batch must be 0 (default) or a positive batch size; got %d", o.batch)
@@ -223,9 +226,6 @@ func parseFlags(args []string) (*options, error) {
 	}
 	if o.checkpointEvery < 0 {
 		return nil, fmt.Errorf("-checkpoint-every must be 0 (disabled) or a positive interval; got %s", o.checkpointEvery)
-	}
-	if o.workers < 0 || o.queue < 0 {
-		return nil, fmt.Errorf("-workers and -queue must be 0 (default) or positive")
 	}
 	if o.selfcheck < 0 {
 		return nil, fmt.Errorf("-selfcheck must be 0 (serve forever) or a positive probe count; got %d", o.selfcheck)
@@ -630,16 +630,8 @@ func run(ctx context.Context, args []string) error {
 		list = listFromTracker(tr, o.threshold)
 	}
 
-	// Bind the serving sockets: one PacketConn for the legacy worker
-	// pool, or a SO_REUSEPORT group for the sharded batched path.
-	var conns []net.PacketConn
-	if o.shards != 0 {
-		conns, err = dnsbl.ListenShards(o.listen, o.shards)
-	} else {
-		var c net.PacketConn
-		c, err = net.ListenPacket("udp", o.listen)
-		conns = []net.PacketConn{c}
-	}
+	// Bind the serving sockets: a SO_REUSEPORT group, one per shard.
+	conns, err := listenUDP(o.listen, o.shards)
 	if err != nil {
 		return err
 	}
@@ -661,7 +653,6 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	srv.SetConcurrency(o.workers, o.queue)
 	srv.SetMaxUDPSize(o.maxUDP)
 	// The analytics tap must exist before the shard loops start (they
 	// capture it once); the mesh's contributor map attributes confirmed
@@ -791,11 +782,7 @@ func run(ctx context.Context, args []string) error {
 	}
 	serveErr := make(chan error, 1)
 	go func() {
-		if o.shards != 0 {
-			serveErr <- srv.ServeConns(sctx, conns, dnsbl.ShardConfig{Shards: o.shards, Batch: o.batch})
-		} else {
-			serveErr <- srv.Serve(sctx, conns[0])
-		}
+		serveErr <- srv.ServeConns(sctx, conns, dnsbl.ShardConfig{Shards: o.shards, Batch: o.batch})
 	}()
 
 	// The TCP listener binds the address the UDP sockets resolved to, so
@@ -842,24 +829,37 @@ func run(ctx context.Context, args []string) error {
 		ckptC = tick.C
 	}
 
+	// shutdown finishes a stop once the serve loops have returned: the
+	// TCP listener drains, a final checkpoint records everything
+	// observed, and the serving totals are printed.
+	shutdown := func() {
+		cancel()
+		drainTCP()
+		saveCheckpoint(o, tr)
+		st := srv.Snapshot()
+		fmt.Printf("shutdown: %d queries (%d listed, %d malformed, %d dropped, %d shed)\n",
+			st.Queries, st.Hits, st.Malformed, st.Dropped, st.Shed)
+		if mesh != nil {
+			ms := mesh.Status()
+			fmt.Printf("mesh: round %d, %d/%d feeds healthy, %d merged blocks\n",
+				ms.Round, ms.HealthyFeeds, ms.TotalFeeds, ms.MergedBlocks)
+		}
+	}
 	for {
 		select {
 		case <-ctx.Done():
-			// Graceful shutdown: Serve drains accepted queries, then a
-			// final checkpoint records everything observed.
+			// Graceful shutdown: the shards answer the batches they have
+			// already read, then return.
 			<-serveErr
-			drainTCP()
-			saveCheckpoint(o, tr)
-			st := srv.Snapshot()
-			fmt.Printf("shutdown: %d queries (%d listed, %d malformed, %d dropped, %d shed)\n",
-				st.Queries, st.Hits, st.Malformed, st.Dropped, st.Shed)
-			if mesh != nil {
-				ms := mesh.Status()
-				fmt.Printf("mesh: round %d, %d/%d feeds healthy, %d merged blocks\n",
-					ms.Round, ms.HealthyFeeds, ms.TotalFeeds, ms.MergedBlocks)
-			}
+			shutdown()
 			return nil
 		case err := <-serveErr:
+			if err == nil {
+				// The sockets were closed without a signal: ServeConns
+				// treats that as a clean stop, and so does the daemon.
+				shutdown()
+				return nil
+			}
 			// The socket died underneath us: grab the evidence on the way
 			// down — this is exactly the state a post-mortem wants.
 			captureBundle("fatal", err.Error(), nil)

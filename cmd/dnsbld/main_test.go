@@ -278,7 +278,7 @@ func TestRunReadinessFlipsAndEventsReadBack(t *testing.T) {
 		done <- run(ctx, []string{
 			"-listen", "127.0.0.1:0", "-reports", dir,
 			"-threshold", "0.5", "-selfcheck", "0", "-metrics", addr,
-			"-reload", "30ms",
+			"-reload", "30ms", "-shards", "1",
 		})
 	}()
 	defer func() {
@@ -325,14 +325,22 @@ func TestRunReadinessFlipsAndEventsReadBack(t *testing.T) {
 	}
 
 	// Phase 2: real queries through the UDP socket /readyz advertised.
-	listed, _, err := dnsbl.Lookup(udpAddr, "bl.unclean.example",
-		netaddr.MustParseAddr("10.1.1.9"), 2*time.Second)
-	if err != nil || !listed {
-		t.Fatalf("lookup listed probe: listed=%v err=%v", listed, err)
+	// The shard records a wide event for 1 in 64 healthy queries, so 64
+	// consecutive lookups of each verdict on the one shard guarantee the
+	// recorder holds one of each.
+	for i := 0; i < 64; i++ {
+		listed, _, err := dnsbl.Lookup(udpAddr, "bl.unclean.example",
+			netaddr.MustParseAddr("10.1.1.9"), 2*time.Second)
+		if err != nil || !listed {
+			t.Fatalf("lookup listed probe: listed=%v err=%v", listed, err)
+		}
 	}
-	if listed, _, err = dnsbl.Lookup(udpAddr, "bl.unclean.example",
-		netaddr.MustParseAddr("192.0.2.1"), 2*time.Second); err != nil || listed {
-		t.Fatalf("lookup unlisted probe: listed=%v err=%v", listed, err)
+	for i := 0; i < 64; i++ {
+		listed, _, err := dnsbl.Lookup(udpAddr, "bl.unclean.example",
+			netaddr.MustParseAddr("192.0.2.1"), 2*time.Second)
+		if err != nil || listed {
+			t.Fatalf("lookup unlisted probe: listed=%v err=%v", listed, err)
+		}
 	}
 
 	// Phase 3: the feed goes bad; after three failed reloads the breaker
@@ -418,8 +426,6 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-batch", "-1"},
 		{"-reload", "-1s"},
 		{"-checkpoint-every", "-1s"},
-		{"-workers", "-1"},
-		{"-queue", "-1"},
 		{"-selfcheck", "-1"},
 		{"-max-udp", "-1"},
 		{"-mesh-threshold", "0"},
@@ -432,6 +438,10 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-feed", "a=x"}, // mesh without -reload has no poll cadence
 		{"-feed", "a=x", "-reload", "1s", "-reports", "dir"},
 		{"-feed", "a=x", "-reload", "1s", "-checkpoint", "ckpt"},
+		// The worker-pool knobs are gone with the worker pool: unknown
+		// flags, whatever their value.
+		{"-workers", "4"},
+		{"-queue", "1024"},
 	}
 	for _, args := range bad {
 		if _, err := parseFlags(args); err == nil {
@@ -605,6 +615,54 @@ func TestRunMeshModeSurvivesDeadFeed(t *testing.T) {
 		if !strings.Contains(body, series) {
 			t.Errorf("metrics scrape missing %s", series)
 		}
+	}
+}
+
+// Serving sockets closed underneath the daemon, with no signal, make
+// ServeConns return nil. run must take the clean shutdown path for that
+// nil result — a final checkpoint and a nil return — and must neither
+// dereference it as an error nor capture a "fatal" bundle. The context
+// is never canceled, so the serve result is the only way out of the
+// serving loop: the ordering is forced, not raced.
+func TestRunCleanServeReturnWithoutSignal(t *testing.T) {
+	dir := t.TempDir()
+	writeReports(t, dir)
+	ckpt := filepath.Join(t.TempDir(), "tracker.ckpt")
+	bundles := t.TempDir()
+	opened := make(chan []net.PacketConn, 1)
+	listenUDP = func(addr string, n int) ([]net.PacketConn, error) {
+		conns, err := dnsbl.ListenShards(addr, n)
+		if err == nil {
+			opened <- conns
+		}
+		return conns, err
+	}
+	defer func() { listenUDP = dnsbl.ListenShards }()
+
+	done := make(chan error, 1)
+	go func() {
+		done <- run(context.Background(), []string{
+			"-listen", "127.0.0.1:0", "-reports", dir, "-checkpoint", ckpt,
+			"-threshold", "0.5", "-selfcheck", "0", "-reload", "10m", "-tcp",
+			"-bundle-dir", bundles,
+		})
+	}()
+	for _, c := range <-opened {
+		c.Close()
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run = %v, want nil after the sockets closed cleanly", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("run kept going after its serving sockets closed")
+	}
+	if _, err := tracker.LoadFile(ckpt); err != nil {
+		t.Fatalf("final checkpoint unreadable: %v", err)
+	}
+	if entries, err := os.ReadDir(bundles); err != nil || len(entries) != 0 {
+		t.Fatalf("clean stop captured bundles: %v (err %v)", entries, err)
 	}
 }
 

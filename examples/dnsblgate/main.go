@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"net"
 	"time"
 
 	"unclean/internal/blocklist"
@@ -41,11 +40,10 @@ func main() {
 	scorer.AddReport(core.DimPhish, ds.Report("phish").Addrs, 1)
 	list := blocklist.FromSet(scorer.Blocklist(0.5), 24, "spam evidence").Aggregate()
 
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	conns, err := dnsbl.ListenShards("127.0.0.1:0", 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer conn.Close()
 	const zone = "bl.unclean.example"
 	srv, err := dnsbl.NewServer(zone, list, time.Minute)
 	if err != nil {
@@ -53,8 +51,9 @@ func main() {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go srv.Serve(ctx, conn) //nolint:errcheck // returns on close
-	fmt.Printf("DNSBL %s serving %d aggregated rules on %s\n", zone, list.Len(), conn.LocalAddr())
+	go srv.ServeConns(ctx, conns, dnsbl.ShardConfig{}) //nolint:errcheck // returns on cancel, closing conns
+	addr := conns[0].LocalAddr().String()
+	fmt.Printf("DNSBL %s serving %d aggregated rules on %s\n", zone, list.Len(), addr)
 
 	// The gateway: every distinct SMTP sender in the traffic gets one
 	// real DNSBL query; listed senders are rejected.
@@ -69,7 +68,7 @@ func main() {
 
 	var rejected, accepted, rejectedSpammers, acceptedSpammers int
 	senderSet.Each(func(sender netaddr.Addr) bool {
-		listed, _, err := dnsbl.Lookup(conn.LocalAddr().String(), zone, sender, 2*time.Second)
+		listed, _, err := dnsbl.Lookup(addr, zone, sender, 2*time.Second)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -50,7 +50,15 @@ func ParseMessage(line string) (Message, error) {
 		m.HasTrailing = true
 		rest = rest[:i]
 	}
-	fields := strings.Fields(rest)
+	// Middle parameters are delimited by ASCII space only (RFC 2812
+	// §2.3.1); other whitespace, Unicode spaces included, is parameter
+	// content.
+	var fields []string
+	for _, f := range strings.Split(rest, " ") {
+		if f != "" {
+			fields = append(fields, f)
+		}
+	}
 	if len(fields) == 0 {
 		return m, fmt.Errorf("botmonitor: IRC line %q has no command", line)
 	}

@@ -3,7 +3,6 @@ package dnsbl
 import (
 	"context"
 	"encoding/json"
-	"net"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -177,29 +176,34 @@ func TestAnalyticsSharesShardSamplingCounter(t *testing.T) {
 	}
 }
 
-func TestAnalyticsLegacyServePath(t *testing.T) {
-	srv, err := NewServer("bl.legacy.example", shardTestList(), time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := srv.EnableAnalytics(AnalyticsConfig{SampleN: 1})
-	var arena flight.Arena
-	q := testQuery(t, "bl.legacy.example", "10.77.0.9")
-	peer := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
+// TestAnalyticsSlowPathQuery feeds the tap a query the fast parser
+// rejects (a compressed question name) but the slow path still answers
+// with a verdict: the misses must reach the prediction ring and the
+// sampled packets the sketches, exactly as fast-path queries do.
+func TestAnalyticsSlowPathQuery(t *testing.T) {
+	srv, a, sh := analyticsShard(t, AnalyticsConfig{SampleN: 1})
+	q := compressedQuery(7, netaddr.MustParseAddr("10.77.0.9"), "bl.shard.example")
 	for i := 0; i < 3; i++ {
-		bp := srv.bufs.Get().(*[]byte)
-		copy(*bp, q)
-		srv.serveOne(nullConn{}, packet{data: bp, n: len(q), peer: peer}, &arena)
+		m := &sh.msgs[0]
+		m.inN = copy(m.in, q)
+		m.client = netaddr.MakeAddr(198, 51, 100, 7)
+		srv.serveMsg(sh, m, srv.list.Load())
+		if m.outN == 0 || m.ev == nil || m.ev.Verdict != "miss" {
+			t.Fatalf("compressed query not answered as a miss: outN=%d ev=%+v", m.outN, m.ev)
+		}
+	}
+	if got := sh.slowPath.Value(); got != 3 {
+		t.Fatalf("slow path served %d packets, want 3", got)
 	}
 	nl := shardTestList()
 	nl.Insert(netaddr.MustParseBlock("10.77.0.0/24"), "bot")
 	srv.SetList(nl)
 	if got := a.Predicted(); got != 3 {
-		t.Fatalf("Predicted via legacy path = %d, want 3", got)
+		t.Fatalf("Predicted via slow path = %d, want 3", got)
 	}
 	doc := a.Snapshot(10)
 	if doc.Sampled != 3 || len(doc.TopClients) != 1 {
-		t.Fatalf("legacy path not sampled: sampled=%d clients=%+v", doc.Sampled, doc.TopClients)
+		t.Fatalf("slow path not sampled: sampled=%d clients=%+v", doc.Sampled, doc.TopClients)
 	}
 }
 

@@ -1,7 +1,7 @@
 package dnsbl
 
 import (
-	"context"
+	"math/rand"
 	"net"
 	"testing"
 	"testing/quick"
@@ -30,7 +30,7 @@ func TestQueryNameQuick(t *testing.T) {
 		got, ok := ParseQueryName(QueryName(a, "zen.test."), "ZEN.test")
 		return ok && got == a
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(20071024))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -146,15 +146,11 @@ func startDNSBL(t *testing.T, list *blocklist.Trie) (addr string, srv *Server, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.Serve(ctx, conn) //nolint:errcheck // returns on close
-	}()
+	stopServe := serveUDP(t, srv, []net.PacketConn{conn}, ShardConfig{})
 	return conn.LocalAddr().String(), srv, func() {
-		cancel()
-		<-done
+		if err := stopServe(); err != nil {
+			t.Errorf("ServeConns: %v", err)
+		}
 		conn.Close()
 	}
 }

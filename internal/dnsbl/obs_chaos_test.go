@@ -1,6 +1,6 @@
 package dnsbl
 
-// Observability acceptance run: drives the chaos scenarios (overload
+// Observability acceptance run: drives the chaos scenarios (send-fault
 // shedding, a tripping feed breaker, checkpoint corruption recovery,
 // real UDP query traffic) and asserts the whole story is visible
 // through one /metrics scrape — shed, breaker-trip, and
@@ -8,7 +8,6 @@ package dnsbl
 // histogram — plus a populated stage-timing table for the pipeline.
 
 import (
-	"context"
 	"errors"
 	"net"
 	"net/http/httptest"
@@ -19,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"unclean/internal/faults"
 	"unclean/internal/netaddr"
 	"unclean/internal/obs"
 	"unclean/internal/retry"
@@ -64,9 +64,7 @@ func TestChaosPipelineObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ctx, conn) }()
+	stop := serveUDP(t, srv, []net.PacketConn{conn}, ShardConfig{})
 	for i := 0; i < 40; i++ {
 		probe := netaddr.MustParseAddr("10.1.1.9") + netaddr.Addr(i%5)
 		if _, _, err := Lookup(conn.LocalAddr().String(), "bl.obs.example", probe, time.Second); err != nil {
@@ -75,46 +73,32 @@ func TestChaosPipelineObservability(t *testing.T) {
 	}
 	spServe.End()
 
-	// Stage 2: overload — a parked worker over a tiny queue forces the
-	// reader to shed.
+	// Stage 2: overload — a socket that refuses half of all response
+	// sends forces the shard to shed.
 	spOverload := trace.Start("chaos/overload")
 	over, err := NewServer("bl.overload.example", chaosList(tr), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	over.SetConcurrency(1, 2)
-	block := make(chan struct{})
-	parked := make(chan struct{})
-	first := true
-	over.handleHook = func() {
-		if first {
-			first = false
-			close(parked)
-			<-block
-		}
-	}
 	oconn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	octx, ocancel := context.WithCancel(context.Background())
-	odone := make(chan error, 1)
-	go func() { odone <- over.Serve(octx, oconn) }()
+	flaky := faults.NewFlakyConn(oconn, faults.ConnConfig{WriteErr: 0.5}, 20061014)
+	ostop := serveUDP(t, over, []net.PacketConn{flaky}, ShardConfig{})
 	cl, err := net.Dial("udp", oconn.LocalAddr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := encodeQuery(t, 1, "10.1.1.9", "bl.overload.example")
-	cl.Write(q)
-	<-parked
 	deadline := time.Now().Add(5 * time.Second)
 	for over.Snapshot().Shed == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("no shedding under sustained overload")
+			t.Fatal("no shedding under send faults")
 		}
 		cl.Write(q)
+		time.Sleep(time.Millisecond)
 	}
-	close(block)
 	cl.Close()
 	spOverload.End()
 
@@ -158,13 +142,11 @@ func TestChaosPipelineObservability(t *testing.T) {
 	spRecover.End()
 
 	// Drain both servers before reading final counters.
-	cancel()
-	ocancel()
-	if err := <-done; err != nil {
-		t.Errorf("Serve: %v", err)
+	if err := stop(); err != nil {
+		t.Errorf("ServeConns: %v", err)
 	}
-	if err := <-odone; err != nil {
-		t.Errorf("overload Serve: %v", err)
+	if err := ostop(); err != nil {
+		t.Errorf("overload ServeConns: %v", err)
 	}
 	conn.Close()
 	oconn.Close()

@@ -27,28 +27,47 @@ func encodeQuery(t *testing.T, id uint16, addr, zone string) []byte {
 	return pkt
 }
 
-// TestServeGracefulShutdownDrains cancels the context while queries sit
-// in the worker queue and asserts every accepted query is answered
-// before Serve returns, within the deadline.
+// serveUDP runs srv.ServeConns over conns with cfg in the background.
+// stop cancels it and returns ServeConns's result, failing the test if
+// it does not return within five seconds.
+func serveUDP(t *testing.T, srv *Server, conns []net.PacketConn, cfg ShardConfig) (stop func() error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- srv.ServeConns(ctx, conns, cfg) }()
+	return func() error {
+		t.Helper()
+		cancel()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatal("ServeConns did not return after cancel")
+			return nil
+		}
+	}
+}
+
+// TestServeGracefulShutdownDrains cancels the context while a slowed
+// shard is mid-batch with more queries queued behind it, and asserts
+// the shutdown accounting: ServeConns returns nil, and every query it
+// counted either left the socket or is counted Dropped (or Shed), so
+// Queries - Dropped - Shed equals the responses the client receives.
+// Shed stays 0 on loopback unless the kernel refuses a send.
 func TestServeGracefulShutdownDrains(t *testing.T) {
 	list := blocklist.FromSet(mustSet("10.1.1.1"), 24, "bot")
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	conns, err := ListenShards("127.0.0.1:0", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
 	srv, err := NewServer("bl.example", list, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetConcurrency(2, 128)
 	srv.handleHook = func() { time.Sleep(2 * time.Millisecond) } // force a backlog
+	stop := serveUDP(t, srv, conns, ShardConfig{Batch: 4})
 
-	ctx, cancel := context.WithCancel(context.Background())
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ctx, conn) }()
-
-	client, err := net.Dial("udp", conn.LocalAddr().String())
+	client, err := net.Dial("udp", conns[0].LocalAddr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,20 +78,12 @@ func TestServeGracefulShutdownDrains(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Let the reader queue (most of) the burst, then shut down.
+	// Let the shard work through part of the burst, then shut down.
 	time.Sleep(20 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-served:
-		if err != nil {
-			t.Fatalf("Serve = %v, want nil on graceful shutdown", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not return after cancel")
+	if err := stop(); err != nil {
+		t.Fatalf("ServeConns = %v, want nil on graceful shutdown", err)
 	}
 
-	// Every packet the reader accepted must have been answered: count
-	// responses arriving at the client.
 	st := srv.Snapshot()
 	client.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
 	buf := make([]byte, maxMessage)
@@ -83,99 +94,105 @@ func TestServeGracefulShutdownDrains(t *testing.T) {
 		}
 		responses++
 	}
-	if uint64(responses) != st.Queries-st.Dropped {
-		t.Fatalf("responses=%d, counters=%+v — accepted work not drained", responses, st)
+	if uint64(responses) != st.Queries-st.Dropped-st.Shed {
+		t.Fatalf("responses=%d, counters=%+v — a counted query neither left the socket nor was counted lost", responses, st)
 	}
 	if st.Queries == 0 {
 		t.Fatal("no queries handled at all")
 	}
+	t.Logf("responses=%d queries=%d dropped=%d shed=%d", responses, st.Queries, st.Dropped, st.Shed)
 }
 
-// TestServeShedsUnderOverload saturates a one-worker server and asserts
-// it sheds (counts and drops) instead of blocking, then still answers.
-func TestServeShedsUnderOverload(t *testing.T) {
+// TestServeParkedShardDrainsFlood parks the only shard inside the
+// handle hook while a flood queues behind it. The flood waits in (or
+// overflows) the kernel's socket buffer; the shard must not wedge: once
+// released it works through the backlog and answers a fresh lookup.
+// Nothing is shed, because shed counts only responses the socket
+// refused, and no send failed.
+func TestServeParkedShardDrainsFlood(t *testing.T) {
 	list := blocklist.FromSet(mustSet("10.1.1.1"), 24, "bot")
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	conns, err := ListenShards("127.0.0.1:0", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
 	srv, err := NewServer("bl.example", list, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetConcurrency(1, 2)
-	var slow sync.Once
+	var park sync.Once
+	parked := make(chan struct{})
 	block := make(chan struct{})
 	srv.handleHook = func() {
-		// First request parks the only worker; the flood behind it must
-		// overflow the 2-slot queue and shed.
-		slow.Do(func() { <-block })
+		park.Do(func() { close(parked); <-block })
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ctx, conn) }()
+	stop := serveUDP(t, srv, conns, ShardConfig{})
+	addr := conns[0].LocalAddr().String()
 
-	client, err := net.Dial("udp", conn.LocalAddr().String())
+	client, err := net.Dial("udp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
+	q := encodeQuery(t, 1, "10.1.1.9", "bl.example")
+	if _, err := client.Write(q); err != nil {
+		t.Fatal(err)
+	}
+	<-parked
 	for i := 0; i < 200; i++ {
-		if _, err := client.Write(encodeQuery(t, uint16(i+1), "10.1.1.9", "bl.example")); err != nil {
+		if _, err := client.Write(q); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if got := srv.Snapshot().Queries; got != 0 {
+		t.Fatalf("a parked shard counted %d queries", got)
+	}
+	close(block)
+
+	// The backlog drains without further prompting...
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Snapshot().Shed == 0 {
+	for srv.Snapshot().Queries < 2 {
 		if time.Now().After(deadline) {
-			t.Fatal("server never shed under overload")
+			t.Fatalf("released shard never drained its backlog: %+v", srv.Snapshot())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(block) // release the worker
-
-	// The server must still answer fresh queries after the storm.
-	listed, code, err := Lookup(conn.LocalAddr().String(), "bl.example", netaddr.MustParseAddr("10.1.1.7"), 2*time.Second)
+	// ...and the shard still answers fresh queries after the storm.
+	listed, code, err := Lookup(addr, "bl.example", netaddr.MustParseAddr("10.1.1.7"), 2*time.Second)
 	if err != nil || !listed || code != CodeBot {
-		t.Fatalf("post-overload lookup: listed=%v code=%v err=%v", listed, code, err)
+		t.Fatalf("post-flood lookup: listed=%v code=%v err=%v", listed, code, err)
 	}
-	cancel()
-	if err := <-served; err != nil {
+	if err := stop(); err != nil {
 		t.Fatal(err)
+	}
+	if st := srv.Snapshot(); st.Shed != 0 || st.Dropped != 0 {
+		t.Fatalf("no send failed, yet shed=%d dropped=%d", st.Shed, st.Dropped)
 	}
 }
 
 // TestServeRecoversFromPanics injects panics into the request path and
-// asserts the daemon survives and keeps serving.
+// asserts the daemon survives and keeps serving: each panicked request
+// is counted in Panics and Dropped, and a fresh lookup still answers.
 func TestServeRecoversFromPanics(t *testing.T) {
 	list := blocklist.FromSet(mustSet("10.1.1.1"), 24, "bot")
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	conns, err := ListenShards("127.0.0.1:0", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
 	srv, err := NewServer("bl.example", list, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	remaining := 5
+	remaining := 5 // only the one shard goroutine runs the hook
 	srv.handleHook = func() {
-		mu.Lock()
-		defer mu.Unlock()
 		if remaining > 0 {
 			remaining--
 			panic("injected request panic")
 		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ctx, conn) }()
+	stop := serveUDP(t, srv, conns, ShardConfig{})
+	addr := conns[0].LocalAddr().String()
 
-	client, err := net.Dial("udp", conn.LocalAddr().String())
+	client, err := net.Dial("udp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,18 +203,20 @@ func TestServeRecoversFromPanics(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Snapshot().Dropped < 5 {
+	for srv.Snapshot().Panics < 5 {
 		if time.Now().After(deadline) {
 			t.Fatalf("panicked requests not recovered: %+v", srv.Snapshot())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	listed, _, err := Lookup(conn.LocalAddr().String(), "bl.example", netaddr.MustParseAddr("10.1.1.7"), 2*time.Second)
+	if st := srv.Snapshot(); st.Dropped != 5 {
+		t.Fatalf("Dropped = %d after 5 panics, want 5", st.Dropped)
+	}
+	listed, _, err := Lookup(addr, "bl.example", netaddr.MustParseAddr("10.1.1.7"), 2*time.Second)
 	if err != nil || !listed {
 		t.Fatalf("server dead after panics: listed=%v err=%v", listed, err)
 	}
-	cancel()
-	if err := <-served; err != nil {
+	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
 }

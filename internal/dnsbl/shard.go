@@ -15,13 +15,13 @@ import (
 	"unclean/internal/obs/flight"
 )
 
-// The sharded serve path. Instead of one reader goroutine feeding a
-// worker pool through a channel (one syscall, one channel op, and one
-// pooled buffer per packet), ServeConns runs N independent shard loops.
-// Each shard owns a socket (SO_REUSEPORT gives every shard its own fd
-// on Linux, so the kernel load-balances queries with no userspace
-// dispatcher), a reusable batch of buffer slots, a private flight-event
-// arena, and a direct-mapped verdict cache. A loop iteration is:
+// The UDP serve path. ServeConns runs N independent shard loops, with
+// no reader goroutine, queue, or buffer pool between the socket and the
+// answer. Each shard owns a socket (SO_REUSEPORT gives every shard its
+// own fd on Linux, so the kernel load-balances queries with no
+// userspace dispatcher), a reusable batch of buffer slots, a private
+// flight-event arena, and a direct-mapped verdict cache. A loop
+// iteration is:
 //
 //	recvmmsg (one syscall, up to Batch datagrams)
 //	  → for each: fast parse → cache probe → zero-copy encode
@@ -30,9 +30,15 @@ import (
 // Nothing on that path allocates and nothing crosses a goroutine
 // boundary, so throughput scales with shards until the NIC runs out.
 // Packets the fast codec cannot serve (wrong shape, non-A queries,
-// compressed names) drop to Server.handle — the same slow path the
-// legacy worker pool uses — so behavior is identical, just slower, for
-// the rare shapes.
+// compressed names) drop to Server.handle — the same slow path ServeTCP
+// uses — so behavior is identical, just slower, for the rare shapes.
+//
+// Overload has one place to show on each side. A shard busy with a
+// batch leaves new datagrams in the kernel's socket buffer, and when
+// that fills the kernel drops the excess (the socket's drop count, not
+// a server counter). A response the socket refuses to take (ENOBUFS,
+// or any transient send error) is shed: counted in Shed, never retried,
+// and the loop moves on.
 
 const (
 	defaultBatch = 32
@@ -127,8 +133,10 @@ type shard struct {
 	fastPath  *obs.Counter // answered by the zero-copy codec
 	slowPath  *obs.Counter // handed to Server.handle
 	cacheHits *obs.Counter // fast-path verdicts served from the cache
-	shed      *obs.Counter // responses abandoned on transient send faults
-	dropped   *obs.Counter // responses lost to hard write errors
+	// shed and dropped split the server's shed and dropped totals by
+	// shard for ShardSnapshots; /metrics exports only the totals.
+	shed    obs.Counter // responses abandoned on transient send faults
+	dropped obs.Counter // responses lost to hard write errors or panics
 }
 
 // ShardStats is a point-in-time snapshot of one shard's counters.
@@ -140,7 +148,7 @@ type ShardStats struct {
 	SlowPath  uint64 // packets handed to the allocating slow path
 	CacheHits uint64 // fast-path verdicts served from the verdict cache
 	Shed      uint64 // responses abandoned on transient send faults
-	Dropped   uint64 // responses lost to hard write errors
+	Dropped   uint64 // responses lost to hard write errors or panics
 }
 
 func (s *Server) newShard(id int, conn net.PacketConn, cfg ShardConfig) *shard {
@@ -171,8 +179,6 @@ func (s *Server) newShard(id int, conn net.PacketConn, cfg ShardConfig) *shard {
 	sh.fastPath = s.metrics.Counter("unclean_dnsbl_shard_fastpath_total", "Packets answered by the zero-copy codec.", z...)
 	sh.slowPath = s.metrics.Counter("unclean_dnsbl_shard_slowpath_total", "Packets handed to the allocating slow path.", z...)
 	sh.cacheHits = s.metrics.Counter("unclean_dnsbl_shard_cache_hits_total", "Fast-path verdicts served from the verdict cache.", z...)
-	sh.shed = s.metrics.Counter("unclean_dnsbl_shard_shed_total", "Responses abandoned on transient send faults.", z...)
-	sh.dropped = s.metrics.Counter("unclean_dnsbl_shard_dropped_total", "Responses lost to hard write errors.", z...)
 	return sh
 }
 
@@ -222,13 +228,18 @@ func ListenShards(addr string, n int) ([]net.PacketConn, error) {
 // ServeConns answers queries on conns with cfg.Shards independent
 // batched shard loops until every conn is closed or ctx is canceled.
 // On cancellation all conns are closed — the blocked reads return
-// net.ErrClosed, which each shard treats as a clean exit. Shards map
-// to conns round-robin: with one conn per shard (ListenShards on
-// Linux) each loop owns its socket; with fewer conns the shards share.
+// net.ErrClosed, which each shard treats as a clean exit. Closing the
+// conns without canceling also returns nil. Shards map to conns
+// round-robin: with one conn per shard (ListenShards on Linux) each
+// loop owns its socket; with fewer conns (any net.PacketConn, one
+// socket on platforms without SO_REUSEPORT) the shards share.
 //
-// Shard counters roll into the same Snapshot()/SLO/flight machinery as
-// the legacy path, plus per-shard series visible via ShardSnapshots
-// and /metrics.
+// A batch read before the close is still answered; responses whose
+// send races the close are counted Dropped, so after ServeConns
+// returns, Queries - Dropped - Shed equals the responses that actually
+// left the sockets. Shard counters roll into Snapshot(), the SLO, and
+// the flight recorder, plus per-shard series visible via
+// ShardSnapshots and /metrics.
 func (s *Server) ServeConns(ctx context.Context, conns []net.PacketConn, cfg ShardConfig) error {
 	if len(conns) == 0 {
 		return fmt.Errorf("dnsbl: ServeConns needs at least one conn")
@@ -280,8 +291,7 @@ func (s *Server) ServeConns(ctx context.Context, conns []net.PacketConn, cfg Sha
 }
 
 // ShardSnapshots returns per-shard counters for the most recent (or
-// running) ServeConns call; nil when the server has only ever used the
-// legacy path.
+// running) ServeConns call; nil before the first one.
 func (s *Server) ShardSnapshots() []ShardStats {
 	s.shardsMu.Lock()
 	shards := s.shards
@@ -331,8 +341,8 @@ func (s *Server) runShard(ctx context.Context, sh *shard) error {
 		sh.batches.Inc()
 		sh.packets.Add(uint64(n))
 		cl := s.list.Load()
-		for i := 0; i < n; i++ {
-			s.serveMsg(sh, &sh.msgs[i], cl)
+		for i := 0; i < n; {
+			i = s.serveBatch(sh, sh.msgs[:n], i, cl)
 		}
 		werr := sh.io.WriteBatch(sh.msgs[:n])
 		s.finishBatch(sh, sh.msgs[:n], start)
@@ -345,6 +355,51 @@ func (s *Server) runShard(ctx context.Context, sh *shard) error {
 	}
 }
 
+// serveBatch answers ms[from:] in place and returns len(ms). A panic
+// while answering one slot is recovered here: that datagram is dropped
+// (counted in panics and dropped, flagged in its wide event) and
+// serveBatch returns the index after it, so runShard resumes with the
+// rest of the batch. One deferred recover per batch, not per packet,
+// keeps the isolation off the per-packet cost.
+func (s *Server) serveBatch(sh *shard, ms []batchMsg, from int, cl *compiledList) (next int) {
+	next = from
+	defer func() {
+		if r := recover(); r != nil {
+			s.dropPanicked(sh, &ms[next])
+			next++
+		}
+	}()
+	for ; next < len(ms); next++ {
+		s.serveMsg(sh, &ms[next], cl)
+	}
+	return next
+}
+
+// dropPanicked settles a slot whose serveMsg panicked: nothing is sent,
+// and the wide event finishBatch records carries the panic (FlagErr
+// also marks it bad for the SLO).
+func (s *Server) dropPanicked(sh *shard, m *batchMsg) {
+	s.panics.Inc()
+	s.dropped.Inc()
+	sh.dropped.Inc()
+	m.outN = 0
+	ev := sh.pendingEvent(m, s.zone)
+	ev.Flags |= flight.FlagPanic | flight.FlagErr
+	ev.Verdict = "panic"
+}
+
+// pendingEvent returns m's wide event, starting one when the packet was
+// not sampled: anomalies always leave an event.
+func (sh *shard) pendingEvent(m *batchMsg, zone string) *flight.Event {
+	if m.ev == nil {
+		m.ev = sh.arena.New()
+		m.ev.Kind = flight.KindQuery
+		m.ev.Client = m.client
+		m.ev.Name = zone
+	}
+	return m.ev
+}
+
 // serveMsg answers one batch slot in place. The fast path — common
 // query shape, cache probe, zero-copy encode into the outbound slot —
 // allocates nothing; everything else falls through to Server.handle
@@ -353,6 +408,9 @@ func (s *Server) serveMsg(sh *shard, m *batchMsg, cl *compiledList) {
 	m.outN = 0
 	m.ev = nil
 	m.sendShed, m.sendErr = false, false
+	if s.handleHook != nil {
+		s.handleHook()
+	}
 
 	pkt := m.in[:m.inN]
 	sh.tick++
@@ -362,10 +420,7 @@ func (s *Server) serveMsg(sh *shard, m *batchMsg, cl *compiledList) {
 		// recorded — rare shapes are exactly what the flight recorder
 		// should keep.
 		sh.slowPath.Inc()
-		ev := sh.arena.New()
-		ev.Kind = flight.KindQuery
-		ev.Client = m.client
-		ev.Name = s.zone
+		ev := sh.pendingEvent(m, s.zone)
 		if resp := s.handle(pkt, s.maxUDP, ev); resp != nil {
 			m.outN = copy(m.out, resp)
 		}
@@ -381,7 +436,6 @@ func (s *Server) serveMsg(sh *shard, m *batchMsg, cl *compiledList) {
 				s.analytics.cSampled.Inc()
 			}
 		}
-		m.ev = ev
 		return
 	}
 
@@ -444,10 +498,7 @@ func (s *Server) serveMsg(sh *shard, m *batchMsg, cl *compiledList) {
 	// Sampled wide event: 1 in shardEventSample healthy packets. The
 	// event is completed (latency, send flags) in finishBatch.
 	if sh.tick%shardEventSample == 0 {
-		ev := sh.arena.New()
-		ev.Kind = flight.KindQuery
-		ev.Client = m.client
-		ev.Name = s.zone
+		ev := sh.pendingEvent(m, s.zone)
 		ev.Addr = addr
 		if listed {
 			ev.Verdict = "hit"
@@ -455,7 +506,6 @@ func (s *Server) serveMsg(sh *shard, m *batchMsg, cl *compiledList) {
 		} else {
 			ev.Verdict = "miss"
 		}
-		m.ev = ev
 	}
 }
 
@@ -470,33 +520,23 @@ func (s *Server) finishBatch(sh *shard, ms []batchMsg, start time.Time) {
 		switch {
 		case m.sendShed:
 			// Transient send fault — socket buffer pressure or injected
-			// loss. Counted like the legacy overload valve: the shard
-			// kept reading and answering, it just couldn't deliver.
+			// loss. The shed valve: the shard kept reading and
+			// answering, it just couldn't deliver this one.
 			s.shed.Inc()
 			s.wShed.IncAt(start)
 			sh.shed.Inc()
-			if m.ev == nil {
-				m.ev = sh.arena.New()
-				m.ev.Kind = flight.KindQuery
-				m.ev.Client = m.client
-				m.ev.Name = s.zone
-			}
-			m.ev.Flags |= flight.FlagShed
-			m.ev.Verdict = "shed"
+			ev := sh.pendingEvent(m, s.zone)
+			ev.Flags |= flight.FlagShed
+			ev.Verdict = "shed"
 		case m.sendErr:
 			s.dropped.Inc()
 			sh.dropped.Inc()
 			s.latency.Observe(per)
 			s.wLatency.ObserveAt(start, per)
 			s.wBad.IncAt(start)
-			if m.ev == nil {
-				m.ev = sh.arena.New()
-				m.ev.Kind = flight.KindQuery
-				m.ev.Client = m.client
-				m.ev.Name = s.zone
-			}
-			m.ev.Flags |= flight.FlagErr
-			m.ev.Detail = "response write failed"
+			ev := sh.pendingEvent(m, s.zone)
+			ev.Flags |= flight.FlagErr
+			ev.Detail = "response write failed"
 		default:
 			s.latency.Observe(per)
 			s.wLatency.ObserveAt(start, per)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strconv"
 	"testing"
 	"time"
 
@@ -176,6 +177,27 @@ func TestFastSlowCodecEquivalence(t *testing.T) {
 	}
 }
 
+// compressedQuery builds a query for addr whose question name ends in a
+// compression pointer to a copy of the zone placed after the question.
+// Decode follows the pointer, so the slow path answers it; the fast
+// parser, which reads names in place, must reject it.
+func compressedQuery(id uint16, addr netaddr.Addr, zone string) []byte {
+	o0, o1, o2, o3 := addr.Octets()
+	pkt := []byte{byte(id >> 8), byte(id), 0x01, 0, 0, 1, 0, 0, 0, 0, 0, 0}
+	for _, o := range []byte{o3, o2, o1, o0} {
+		label := strconv.Itoa(int(o))
+		pkt = append(pkt, byte(len(label)))
+		pkt = append(pkt, label...)
+	}
+	zoneAt := len(pkt) + 2 + 4 // after the pointer and type/class
+	pkt = append(pkt, 0xc0|byte(zoneAt>>8), byte(zoneAt), 0, TypeA, 0, ClassIN)
+	zw, err := encodeName(zone)
+	if err != nil {
+		panic(err)
+	}
+	return append(pkt, zw...)
+}
+
 // TestFastParseRejectsNonFastShapes: everything the zero-copy parser
 // cannot prove is the canonical shape must fall to the slow path, never
 // misparse.
@@ -203,6 +225,7 @@ func TestFastParseRejectsNonFastShapes(t *testing.T) {
 		"octet too big": mk(func(m *Message) { m.Questions[0].Name = "9.1.1.256.bl.shard.example" }),
 		"leading zero":  mk(func(m *Message) { m.Questions[0].Name = "09.1.1.10.bl.shard.example" }),
 		"two questions": mk(func(m *Message) { m.Questions = append(m.Questions, m.Questions[0]) }),
+		"compressed":    compressedQuery(9, netaddr.MustParseAddr("10.1.1.9"), "bl.shard.example"),
 		"empty":         {},
 		"short header":  {0, 1, 2},
 	}
@@ -484,4 +507,104 @@ func TestServeConnsSharesOneConn(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("ServeConns did not exit on cancellation")
 	}
+}
+
+// scriptBatcher is an in-memory batchIO that hands runShard one scripted
+// batch per ReadBatch, records how many responses each WriteBatch
+// carried, and reports the conn closed when the script runs out.
+type scriptBatcher struct {
+	batches [][][]byte
+	sent    []int
+}
+
+func (b *scriptBatcher) ReadBatch(ms []batchMsg) (int, error) {
+	if len(b.batches) == 0 {
+		return 0, net.ErrClosed
+	}
+	batch := b.batches[0]
+	b.batches = b.batches[1:]
+	for i, pkt := range batch {
+		ms[i].inN = copy(ms[i].in, pkt)
+		ms[i].client = netaddr.MakeAddr(198, 51, 100, byte(i))
+	}
+	return len(batch), nil
+}
+
+func (b *scriptBatcher) WriteBatch(ms []batchMsg) error {
+	n := 0
+	for i := range ms {
+		if ms[i].outN > 0 {
+			n++
+		}
+	}
+	b.sent = append(b.sent, n)
+	return nil
+}
+
+func (b *scriptBatcher) LocalAddr() net.Addr { return nil }
+func (b *scriptBatcher) Close() error        { return nil }
+
+// TestShardPanicDropsOnlyThatDatagram injects panics into one fast-path
+// slot and one slow-path slot of a batch: those two datagrams are
+// dropped (counted in Panics and Dropped, recorded as panic events, bad
+// for the SLO), the rest of the batch is still answered, and the shard
+// goes on to serve the next batch in full.
+func TestShardPanicDropsOnlyThatDatagram(t *testing.T) {
+	srv, err := NewServer("bl.shard.example", shardTestList(), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := flight.New(256)
+	srv.SetFlightRecorder(rec)
+	calls := 0
+	srv.handleHook = func() {
+		calls++
+		if calls == 2 || calls == 5 {
+			panic("injected request panic")
+		}
+	}
+	fast := encodeQuery(t, 1, "10.1.1.9", "bl.shard.example")
+	txt := mustEncode(t, &Message{ID: 2, Questions: []Question{{
+		Name: QueryName(netaddr.MustParseAddr("10.1.1.9"), "bl.shard.example"), Type: TypeTXT, Class: ClassIN}}})
+	io := &scriptBatcher{batches: [][][]byte{
+		{fast, fast, fast, fast, txt, fast}, // slot 1 (fast) and slot 4 (slow) panic
+		{fast, fast, fast, fast},
+	}}
+	sh := srv.newShard(0, nil, ShardConfig{}.withDefaults(1))
+	sh.io = io
+	if err := srv.runShard(context.Background(), sh); err != nil {
+		t.Fatalf("runShard: %v", err)
+	}
+
+	if len(io.sent) != 2 || io.sent[0] != 4 || io.sent[1] != 4 {
+		t.Fatalf("responses per batch = %v, want [4 4]", io.sent)
+	}
+	st := srv.Snapshot()
+	if st.Panics != 2 || st.Dropped != 2 || st.Queries != 8 {
+		t.Fatalf("counters = %+v, want 2 panics, 2 dropped, 8 queries", st)
+	}
+	if got := sh.dropped.Value(); got != 2 {
+		t.Fatalf("shard dropped = %d, want 2", got)
+	}
+	if bad := srv.wBad.Total(time.Minute); bad != 2 {
+		t.Fatalf("SLO bad count = %d, want 2", bad)
+	}
+	evs := rec.Snapshot(flight.Filter{Flags: flight.FlagPanic})
+	if len(evs) != 2 {
+		t.Fatalf("panic events = %d, want 2: %+v", len(evs), evs)
+	}
+	for _, ev := range evs {
+		if ev.Verdict != "panic" || ev.Flags&flight.FlagErr == 0 {
+			t.Errorf("panic event = %+v, want verdict panic with the err flag", ev)
+		}
+	}
+}
+
+func mustEncode(t *testing.T, m *Message) []byte {
+	t.Helper()
+	pkt, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkt
 }

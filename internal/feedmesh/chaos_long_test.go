@@ -9,7 +9,6 @@ package feedmesh_test
 
 import (
 	"context"
-	"net"
 	"testing"
 	"time"
 
@@ -83,7 +82,7 @@ func TestChaosLongAllAdversaries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	conns, err := dnsbl.ListenShards("127.0.0.1:0", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,17 +92,15 @@ func TestChaosLongAllAdversaries(t *testing.T) {
 	}
 	mesh.OnSwap(srv.SetList)
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.Serve(ctx, conn) //nolint:errcheck // returns on close
-	}()
+	done := make(chan error, 1)
+	go func() { done <- srv.ServeConns(ctx, conns, dnsbl.ShardConfig{}) }()
 	defer func() {
 		cancel()
-		<-done
-		conn.Close()
+		if err := <-done; err != nil {
+			t.Errorf("ServeConns: %v", err)
+		}
 	}()
-	addr := conn.LocalAddr().String()
+	addr := conns[0].LocalAddr().String()
 
 	probe := hostile.At(0)
 	cleanProbe := clean.At(0)

@@ -12,7 +12,6 @@ package feedmesh_test
 import (
 	"context"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
@@ -105,7 +104,7 @@ func runChaosScenario(t *testing.T, serve bool) chaosOutcome {
 
 	var lookupAddr string
 	if serve {
-		conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+		conns, err := dnsbl.ListenShards("127.0.0.1:0", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,17 +114,15 @@ func runChaosScenario(t *testing.T, serve bool) chaosOutcome {
 		}
 		mesh.OnSwap(srv.SetList)
 		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			srv.Serve(ctx, conn) //nolint:errcheck // returns on close
-		}()
+		done := make(chan error, 1)
+		go func() { done <- srv.ServeConns(ctx, conns, dnsbl.ShardConfig{}) }()
 		defer func() {
 			cancel()
-			<-done
-			conn.Close()
+			if err := <-done; err != nil {
+				t.Errorf("ServeConns: %v", err)
+			}
 		}()
-		lookupAddr = conn.LocalAddr().String()
+		lookupAddr = conns[0].LocalAddr().String()
 	}
 
 	out := chaosOutcome{
