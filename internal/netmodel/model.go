@@ -22,6 +22,7 @@ package netmodel
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"unclean/internal/ipset"
@@ -336,17 +337,44 @@ func (m *Model) SampleAddr(rng *stats.RNG) netaddr.Addr {
 
 // SampleAddrSet draws size distinct active addresses. It panics if size
 // exceeds the total active host population.
+//
+// Draws are SampleAddr's, made until size distinct addresses have come
+// up, so the result and the RNG's state afterwards depend only on the
+// stream of draws. Distinctness is a bitmap over host slots: network i
+// owns slots [off[i], off[i]+Hosts), and a slot's bit is set once the
+// host it stands for has been drawn. Networks are in ascending base
+// order and Host is monotonic in its index, so scanning the bitmap
+// yields the set's addresses already sorted.
 func (m *Model) SampleAddrSet(size int, rng *stats.RNG) ipset.Set {
-	if size > m.TotalHosts() {
-		panic(fmt.Sprintf("netmodel: sample %d exceeds population %d", size, m.TotalHosts()))
+	// Slots fit uint32: at most 2^24 /24s of at most 254 hosts each.
+	off := make([]uint32, len(m.nets)+1)
+	for i := range m.nets {
+		off[i+1] = off[i] + uint32(m.nets[i].Hosts)
+	}
+	total := int(off[len(m.nets)])
+	if size > total {
+		panic(fmt.Sprintf("netmodel: sample %d exceeds population %d", size, total))
+	}
+	seen := make([]uint64, (total+63)/64)
+	for drawn := 0; drawn < size; {
+		i := m.SampleNetwork(rng)
+		slot := off[i] + uint32(rng.Intn(m.nets[i].Hosts))
+		word, bit := &seen[slot/64], uint64(1)<<(slot%64)
+		if *word&bit == 0 {
+			*word |= bit
+			drawn++
+		}
 	}
 	b := ipset.NewBuilder(size)
-	seen := make(map[netaddr.Addr]struct{}, size)
-	for len(seen) < size {
-		a := m.SampleAddr(rng)
-		if _, dup := seen[a]; !dup {
-			seen[a] = struct{}{}
-			b.Add(a)
+	i := 0
+	for w, word := range seen {
+		for word != 0 {
+			slot := uint32(w*64 + bits.TrailingZeros64(word))
+			word &= word - 1
+			for off[i+1] <= slot {
+				i++
+			}
+			b.Add(m.nets[i].Host(int(slot - off[i])))
 		}
 	}
 	return b.Build()

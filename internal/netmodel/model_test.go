@@ -3,6 +3,7 @@ package netmodel
 import (
 	"testing"
 
+	"unclean/internal/ipset"
 	"unclean/internal/netaddr"
 	"unclean/internal/stats"
 )
@@ -168,6 +169,59 @@ func TestSampleAddrSet(t *testing.T) {
 	}
 }
 
+// sampleAddrSetMap is the control draw SampleAddrSet replaced: dedup
+// through a map, then sort in Build. It stays here as the oracle the
+// bitmap draw must match.
+func sampleAddrSetMap(m *Model, size int, rng *stats.RNG) ipset.Set {
+	b := ipset.NewBuilder(size)
+	seen := make(map[netaddr.Addr]struct{}, size)
+	for len(seen) < size {
+		a := m.SampleAddr(rng)
+		if _, dup := seen[a]; !dup {
+			seen[a] = struct{}{}
+			b.Add(a)
+		}
+	}
+	return b.Build()
+}
+
+// TestSampleAddrSetMatchesMapOracle pins the bitmap draw to the map
+// draw: the same set, and the RNG left in the same state, since callers
+// keep drawing from it afterwards. size == TotalHosts is the full
+// population, where most draws are duplicates.
+func TestSampleAddrSetMatchesMapOracle(t *testing.T) {
+	cfg := smallConfig()
+	cfg.TargetNetworks, cfg.Slash16PerSlash8 = 400, 1
+	for _, seed := range []uint64{3, 29, 20071024} {
+		m, err := New(cfg, stats.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := m.TotalHosts()
+		for _, size := range []int{0, 1, 2, 1000, total / 3, total - 1, total} {
+			got, want := stats.NewRNG(seed+uint64(size)), stats.NewRNG(seed+uint64(size))
+			gs, ws := m.SampleAddrSet(size, got), sampleAddrSetMap(m, size, want)
+			if gs.Len() != size || !gs.Equal(ws) {
+				t.Fatalf("seed %d size %d: bitmap draw has %d addrs, map draw %d, equal=%v",
+					seed, size, gs.Len(), ws.Len(), gs.Equal(ws))
+			}
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d size %d: RNG diverged after the draw: next %#x, want %#x", seed, size, g, w)
+			}
+		}
+	}
+}
+
+func TestSampleAddrSetPanicsOverPopulation(t *testing.T) {
+	m := buildSmall(t, 5)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("drawing more than the population did not panic")
+		}
+	}()
+	m.SampleAddrSet(m.TotalHosts()+1, stats.NewRNG(1))
+}
+
 func TestSampleClusteredVsNaive(t *testing.T) {
 	// The heart of Figure 2: the model's empirical population must be
 	// denser (fewer blocks) than the naive uniform-over-/8s draw.
@@ -254,5 +308,19 @@ func TestTotalHostsPositive(t *testing.T) {
 	m := buildSmall(t, 21)
 	if m.TotalHosts() < m.NetworkCount() {
 		t.Fatalf("TotalHosts %d < NetworkCount %d", m.TotalHosts(), m.NetworkCount())
+	}
+}
+
+// BenchmarkSampleAddrSet is the control draw at a quarter of the
+// population, where the dedup structure sees many repeated draws.
+func BenchmarkSampleAddrSet(b *testing.B) {
+	m := buildSmall(b, 13)
+	size := m.TotalHosts() / 4
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s := m.SampleAddrSet(size, stats.NewRNG(uint64(i))); s.Len() != size {
+			b.Fatalf("drew %d addrs, want %d", s.Len(), size)
+		}
 	}
 }

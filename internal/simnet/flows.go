@@ -53,22 +53,98 @@ func (w *World) SynthesizeFlows(from, to time.Time, opts FlowOptions) []netflow.
 		return nil
 	}
 	perDay := make([][]netflow.Record, hi-lo+1)
-	stats.Parallel(hi-lo+1, func(_, i int) {
+	keys := make([][]timeKey, stats.Workers(hi-lo+1))
+	stats.Parallel(hi-lo+1, func(worker, i int) {
 		day := w.synthesizeDay(lo+i, opts, nil, nil)
-		sortByTime(day)
+		keys[worker] = sortByTime(day, keys[worker])
 		perDay[i] = day
 	})
 	return mergeByTime(perDay)
 }
 
-// sortByTime stable-sorts one day's records by flow start time. Stable,
-// so records with equal timestamps keep generation order — which is what
-// the old whole-log sort.SliceStable preserved, making the per-day
-// sort + merge pipeline byte-identical to it.
-func sortByTime(records []netflow.Record) {
-	slices.SortStableFunc(records, func(a, b netflow.Record) int {
-		return a.First.Compare(b.First)
-	})
+// timeKey is sortByTime's sort key for one record: its start time in
+// Unix nanoseconds and its position in the run.
+type timeKey struct {
+	ns  int64
+	idx int
+}
+
+// sortByTime sorts one run of records by flow start time, keeping
+// generation order among equal timestamps — the order the old
+// whole-log sort.SliceStable produced, which makes the per-day sort +
+// merge pipeline byte-identical to it. It sorts 16-byte keys rather
+// than 88-byte records, with an LSD radix sort on the start time's
+// offset from the run's earliest: radix passes are stable and the keys
+// start in position order, so equal times keep generation order. Byte
+// positions on which every offset agrees (the high bytes, and the
+// lowest when times are whole seconds) cost no pass. The records then
+// move once each into place. Start times must be representable as int64
+// Unix nanoseconds (years 1678–2262), as the spill codec already
+// requires.
+//
+// keys is scratch, twice the run's length, reused across calls;
+// sortByTime returns it, grown as needed, so a worker can keep one for
+// every run it sorts.
+func sortByTime(records []netflow.Record, keys []timeKey) []timeKey {
+	n := len(records)
+	keys = slices.Grow(keys[:0], 2*n)[:2*n]
+	src, dst := keys[:n], keys[n:]
+	var lo int64
+	for i := range records {
+		ns := records[i].First.UnixNano()
+		src[i] = timeKey{ns, i}
+		if i == 0 || ns < lo {
+			lo = ns
+		}
+	}
+	// The earliest time's offset is 0 in every byte, so a byte position
+	// whose zero count is n is the same across the run.
+	var counts [8][256]int
+	for _, k := range src {
+		off := uint64(k.ns) - uint64(lo)
+		for b := range counts {
+			counts[b][byte(off>>(8*b))]++
+		}
+	}
+	for b := range counts {
+		if counts[b][0] == n {
+			continue
+		}
+		var next [256]int
+		sum := 0
+		for d, c := range counts[b] {
+			next[d] = sum
+			sum += c
+		}
+		shift := 8 * b
+		for _, k := range src {
+			d := byte((uint64(k.ns) - uint64(lo)) >> shift)
+			dst[next[d]] = k
+			next[d]++
+		}
+		src, dst = dst, src
+	}
+	// records[j] takes the record at src[j].idx. Walk each cycle of that
+	// permutation once, holding its first record aside; a visited slot
+	// is marked by pointing its key at itself.
+	for i := range src {
+		if src[i].idx == i {
+			continue
+		}
+		held := records[i]
+		j := i
+		for {
+			k := src[j].idx
+			src[j].idx = j
+			if k == i {
+				records[j] = held
+				break
+			}
+			records[j] = records[k]
+			j = k
+		}
+	}
+	return keys
 }
 
 // mergeByTime merges already-sorted per-day slices into one
@@ -124,43 +200,43 @@ func mergeByTime(perDay [][]netflow.Record) []netflow.Record {
 // size. Either way, concatenating the records across calls reproduces
 // SynthesizeFlows byte for byte. A non-nil error from fn aborts the
 // stream and is returned.
+//
+// records is only valid for the duration of fn: the merge of a spilled
+// day reuses one chunk buffer for every call, and an unspilled day's
+// slice is reused for a later day once fn returns. fn may read records
+// freely but must copy whatever it keeps.
 func (w *World) StreamFlows(from, to time.Time, opts FlowOptions, fn func(day time.Time, records []netflow.Record) error) error {
 	lo, hi := w.clampDays(from, to)
 	if hi < lo {
 		return nil
 	}
 	window := stats.Workers(hi - lo + 1)
+	// One spiller per worker, one record buffer per day of a batch and
+	// one set of merge buffers serve every batch.
+	spillers := make([]daySpiller, window)
+	for i := range spillers {
+		spillers[i] = daySpiller{dir: opts.SpillDir, budget: opts.SpillBudget}
+	}
+	days := make([][]netflow.Record, window)
+	var bufs mergeBuffers
 	for base := lo; base <= hi; base += window {
 		n := min(window, hi-base+1)
-		if opts.SpillBudget > 0 {
-			if err := w.streamSpilled(base, n, opts, fn); err != nil {
-				return err
-			}
-			continue
-		}
-		chunk := make([][]netflow.Record, n)
-		stats.Parallel(n, func(_, i int) {
-			day := w.synthesizeDay(base+i, opts, nil, nil)
-			sortByTime(day)
-			chunk[i] = day
-		})
-		for i, recs := range chunk {
-			if err := fn(w.Date(base+i), recs); err != nil {
-				return err
-			}
-			chunk[i] = nil // release the day before synthesizing the next batch
+		if err := w.streamBatch(base, n, opts, spillers, days[:n], &bufs, fn); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// streamSpilled synthesizes one batch of days under the spill budget and
-// delivers each day's merged runs in order.
-func (w *World) streamSpilled(base, n int, opts FlowOptions, fn func(day time.Time, records []netflow.Record) error) error {
+// streamBatch synthesizes one batch of days, day i on a worker's
+// spiller in record buffer days[i], and delivers each day's merged runs
+// in order. Once a day is delivered, its buffer goes back to days[i]
+// for the next batch.
+func (w *World) streamBatch(base, n int, opts FlowOptions, spillers []daySpiller, days [][]netflow.Record, bufs *mergeBuffers, fn func(day time.Time, records []netflow.Record) error) error {
 	runs := make([]*dayRuns, n)
 	errs := make([]error, n)
-	stats.Parallel(n, func(_, i int) {
-		runs[i], errs[i] = w.synthesizeDayRuns(base+i, opts)
+	stats.Parallel(n, func(worker, i int) {
+		runs[i], errs[i] = w.synthesizeDayRuns(base+i, opts, &spillers[worker], days[i][:0])
 	})
 	// On any failure, drop every day's segments before reporting.
 	fail := func(err error) error {
@@ -178,9 +254,10 @@ func (w *World) streamSpilled(base, n int, opts FlowOptions, fn func(day time.Ti
 	}
 	for i := range runs {
 		day := w.Date(base + i)
-		err := runs[i].deliver(func(recs []netflow.Record) error {
+		err := runs[i].deliver(bufs, func(recs []netflow.Record) error {
 			return fn(day, recs)
 		})
+		days[i] = runs[i].mem
 		runs[i] = nil
 		if err != nil {
 			return fail(err)
@@ -189,16 +266,17 @@ func (w *World) streamSpilled(base, n int, opts FlowOptions, fn func(day time.Ti
 	return nil
 }
 
-// synthesizeDayRuns synthesizes one day under the spill budget,
-// returning its sorted runs.
-func (w *World) synthesizeDayRuns(d int, opts FlowOptions) (*dayRuns, error) {
-	sp := &daySpiller{dir: opts.SpillDir, budget: opts.SpillBudget}
-	out := w.synthesizeDay(d, opts, nil, sp)
+// synthesizeDayRuns synthesizes day d on sp, appending to buf, and
+// returns its sorted runs: the segments sp spilled under its budget
+// plus the in-memory rest.
+func (w *World) synthesizeDayRuns(d int, opts FlowOptions, sp *daySpiller, buf []netflow.Record) (*dayRuns, error) {
+	sp.paths, sp.counts, sp.err = nil, nil, nil
+	out := w.synthesizeDay(d, opts, buf, sp)
 	if sp.err != nil {
 		sp.cleanup()
 		return nil, sp.err
 	}
-	sortByTime(out)
+	sp.keys = sortByTime(out, sp.keys)
 	return &dayRuns{mem: out, paths: sp.paths, counts: sp.counts}, nil
 }
 

@@ -2,12 +2,14 @@ package simnet
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"unclean/internal/netaddr"
 	"unclean/internal/netflow"
+	"unclean/internal/stats"
 )
 
 func synthWindow(t *testing.T) []netflow.Record {
@@ -266,5 +268,59 @@ func TestMergeByTimeHeapPath(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("record %d: merge gave src %v, stable sort %v", i, got[i].SrcAddr, want[i].SrcAddr)
 		}
+	}
+}
+
+// tiedRecords returns n records whose start times take at most distinct
+// values, so most timestamps are shared, each record identifiable by
+// its Packets field (its generation index).
+func tiedRecords(rng *stats.RNG, n, distinct int) []netflow.Record {
+	t0 := date(2006, 10, 1)
+	recs := make([]netflow.Record, n)
+	for i := range recs {
+		first := t0.Add(time.Duration(rng.Intn(distinct)) * 1733 * time.Second)
+		recs[i] = netflow.Record{
+			SrcAddr: netaddr.Addr(rng.Uint32()), Packets: uint32(i),
+			First: first, Last: first.Add(time.Second),
+		}
+	}
+	return recs
+}
+
+func stableByTime(recs []netflow.Record) {
+	slices.SortStableFunc(recs, func(a, b netflow.Record) int { return a.First.Compare(b.First) })
+}
+
+// TestSortByTimeMatchesStableSort pins the keyed sort to the stable
+// record sort it replaced, on heavily tied timestamps, across lengths
+// and on already-sorted and reversed input, with one key scratch reused
+// throughout as a worker reuses it.
+func TestSortByTimeMatchesStableSort(t *testing.T) {
+	rng := stats.NewRNG(20071024)
+	var keys []timeKey
+	check := func(label string, in []netflow.Record) {
+		t.Helper()
+		want := slices.Clone(in)
+		stableByTime(want)
+		got := slices.Clone(in)
+		keys = sortByTime(got, keys)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s, %d records: position %d holds record %d, stable sort has %d",
+					label, len(in), i, got[i].Packets, want[i].Packets)
+			}
+		}
+	}
+	lengths := []int{0, 1, 2, 3, 17, 96, 97, 1000, 3000}
+	for i := 0; i < 40; i++ {
+		lengths = append(lengths, rng.Intn(3001))
+	}
+	for _, n := range lengths {
+		recs := tiedRecords(rng, n, 50)
+		check("random", recs)
+		stableByTime(recs)
+		check("sorted", recs)
+		slices.Reverse(recs)
+		check("reversed", recs)
 	}
 }

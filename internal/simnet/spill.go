@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"bufio"
-	"container/heap"
 	"fmt"
 	"io"
 	"os"
@@ -15,17 +14,19 @@ import (
 // millions of ~90-byte records; holding a whole day (let alone a
 // worker-pool batch of days) in memory is what capped the old pipeline.
 // With FlowOptions.SpillBudget set, synthesis accumulates records until
-// the budget is exceeded, stable-sorts the run, and spills it to a temp
-// segment file in the compact netflow segment encoding. The day is then
-// reconstructed as a k-way merge of its sorted runs — segment files
-// stream back through buffered readers, so peak memory per day is the
-// budget plus one read buffer per run, regardless of day size.
+// the budget is exceeded, sorts the run by start time (sortByTime), and
+// spills it to a temp segment file in the compact netflow segment
+// encoding. The day is then reconstructed as a k-way merge of its sorted
+// runs — segment files stream back through buffered readers of at most
+// 1 MiB, so peak memory per day is the budget plus one read buffer per
+// run, regardless of day size.
 //
 // Byte-identity with the in-memory path: runs are spilled in generation
-// order and the merge breaks timestamp ties by run index, which is
-// exactly what one stable sort of the whole day produces. The record
-// generators never observe the spilling (the RNG streams are untouched),
-// so spilled and unspilled synthesis yield identical flow sequences.
+// order, each run is sorted stably, and the merge breaks timestamp ties
+// by run index, which is exactly what one stable sort of the whole day
+// produces. The record generators never observe the spilling (the RNG
+// streams are untouched), so spilled and unspilled synthesis yield
+// identical flow sequences.
 
 // recordMemBytes approximates the in-memory footprint of one record for
 // budget accounting.
@@ -34,11 +35,20 @@ var recordMemBytes = int(unsafe.Sizeof(netflow.Record{}))
 // spillChunkRecords is the delivery granularity of a merged spilled day.
 const spillChunkRecords = 8192
 
-// daySpiller accumulates one day's spilled runs. A nil spiller is valid
-// and never spills — the in-memory path.
+// spillBufBytes caps the segment writer's buffer and each segment
+// reader's.
+const spillBufBytes = 1 << 20
+
+// daySpiller is one synthesis worker's spill state. A StreamFlows call
+// keeps one per worker: the sort keys and the segment writer are reused
+// for every run the worker spills, on every day it synthesizes, while
+// paths, counts and err describe the current day only. A zero budget
+// never spills; so does a nil spiller — the in-memory path.
 type daySpiller struct {
 	dir    string
 	budget int
+	keys   []timeKey
+	bw     *bufio.Writer
 	paths  []string
 	counts []int
 	err    error
@@ -49,7 +59,7 @@ type daySpiller struct {
 // (emptied) buffer returned. On spill failure the error is recorded and
 // synthesis continues unspilled; the caller surfaces sp.err at day end.
 func (sp *daySpiller) checkpoint(out []netflow.Record) []netflow.Record {
-	if sp == nil || sp.err != nil {
+	if sp == nil || sp.budget <= 0 || sp.err != nil {
 		return out
 	}
 	if len(out)*recordMemBytes < sp.budget {
@@ -62,23 +72,27 @@ func (sp *daySpiller) spill(out []netflow.Record) []netflow.Record {
 	if len(out) == 0 {
 		return out
 	}
-	sortByTime(out)
+	sp.keys = sortByTime(out, sp.keys)
 	f, err := os.CreateTemp(sp.dir, "unclean-spill-*.seg")
 	if err != nil {
 		sp.err = fmt.Errorf("simnet: creating spill segment: %w", err)
 		return out
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
+	if sp.bw == nil {
+		sp.bw = bufio.NewWriterSize(f, spillBufBytes)
+	} else {
+		sp.bw.Reset(f)
+	}
 	var buf [netflow.SegmentRecordSize]byte
 	for i := range out {
 		netflow.EncodeSegmentRecord(buf[:], &out[i])
-		if _, err := bw.Write(buf[:]); err != nil {
+		if _, err := sp.bw.Write(buf[:]); err != nil {
 			sp.err = fmt.Errorf("simnet: writing spill segment: %w", err)
 			break
 		}
 	}
 	if sp.err == nil {
-		if err := bw.Flush(); err != nil {
+		if err := sp.bw.Flush(); err != nil {
 			sp.err = fmt.Errorf("simnet: writing spill segment: %w", err)
 		}
 	}
@@ -118,11 +132,33 @@ func (r *dayRuns) cleanup() {
 	r.paths = nil
 }
 
+// mergeBuffers is what delivering one spilled day leaves for the
+// next: the chunk handed to fn and one segment reader per run.
+type mergeBuffers struct {
+	chunk   []netflow.Record
+	readers []*bufio.Reader
+}
+
+// reader returns run i's segment reader reset onto f. Runs are opened
+// in order, so a run past the readers kept so far is the next one; its
+// reader is made at most the segment's size (and spillBufBytes).
+func (b *mergeBuffers) reader(i int, f *os.File, segBytes int) *bufio.Reader {
+	if i < len(b.readers) {
+		b.readers[i].Reset(f)
+		return b.readers[i]
+	}
+	br := bufio.NewReaderSize(f, min(spillBufBytes, segBytes))
+	b.readers = append(b.readers, br)
+	return br
+}
+
 // deliver merges the day's runs in time order and hands the records to
-// fn in bounded chunks. Segment files are consumed through buffered
-// readers and removed afterwards. fn is called at least once, so empty
-// days still announce themselves, matching the in-memory path.
-func (r *dayRuns) deliver(fn func(records []netflow.Record) error) error {
+// fn in chunks of spillChunkRecords, reusing bufs (which may be empty)
+// for the chunk and the segment readers; fn must not keep a chunk past
+// its return. Segment files are removed once consumed. fn is called at
+// least once, so empty days still announce themselves, matching the
+// in-memory path.
+func (r *dayRuns) deliver(bufs *mergeBuffers, fn func(records []netflow.Record) error) error {
 	if len(r.paths) == 0 {
 		return fn(r.mem)
 	}
@@ -133,7 +169,7 @@ func (r *dayRuns) deliver(fn func(records []netflow.Record) error) error {
 		}
 	}()
 	for i, p := range r.paths {
-		c, err := openSegmentCursor(p, r.counts[i])
+		c, err := openSegmentCursor(p, r.counts[i], bufs, i)
 		if err != nil {
 			return err
 		}
@@ -143,7 +179,10 @@ func (r *dayRuns) deliver(fn func(records []netflow.Record) error) error {
 	// timestamp ties — the order a whole-day stable sort would produce.
 	curs = append(curs, newMemCursor(r.mem))
 
-	chunk := make([]netflow.Record, 0, spillChunkRecords)
+	if bufs.chunk == nil {
+		bufs.chunk = make([]netflow.Record, 0, spillChunkRecords)
+	}
+	chunk := bufs.chunk[:0]
 	delivered := false
 	err := mergeCursors(curs, func(rec *netflow.Record) error {
 		chunk = append(chunk, *rec)
@@ -152,7 +191,7 @@ func (r *dayRuns) deliver(fn func(records []netflow.Record) error) error {
 				return err
 			}
 			delivered = true
-			chunk = make([]netflow.Record, 0, spillChunkRecords)
+			chunk = chunk[:0]
 		}
 		return nil
 	})
@@ -166,7 +205,8 @@ func (r *dayRuns) deliver(fn func(records []netflow.Record) error) error {
 }
 
 // runCursor walks one sorted run: an in-memory slice, or a spill
-// segment streamed through a buffered reader.
+// segment streamed through a buffered reader. key caches the current
+// record's start time in Unix nanoseconds for the merge.
 type runCursor struct {
 	// In-memory run.
 	recs []netflow.Record
@@ -178,19 +218,25 @@ type runCursor struct {
 	remaining int
 	rec       netflow.Record
 
+	key   int64
 	valid bool
 }
 
 func newMemCursor(recs []netflow.Record) *runCursor {
-	return &runCursor{recs: recs, valid: len(recs) > 0}
+	c := &runCursor{recs: recs, pos: -1}
+	c.advance() // in-memory cursors never error
+	return c
 }
 
-func openSegmentCursor(path string, count int) (*runCursor, error) {
+// openSegmentCursor opens run i's segment of count records, reading it
+// through bufs' reader for that run.
+func openSegmentCursor(path string, count int, bufs *mergeBuffers, i int) (*runCursor, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("simnet: opening spill segment: %w", err)
 	}
-	c := &runCursor{path: path, f: f, br: bufio.NewReaderSize(f, 1<<20), remaining: count}
+	br := bufs.reader(i, f, max(count, 1)*netflow.SegmentRecordSize)
+	c := &runCursor{path: path, f: f, br: br, remaining: count}
 	if err := c.advance(); err != nil {
 		c.close()
 		return nil, err
@@ -209,26 +255,32 @@ func (c *runCursor) cur() *netflow.Record {
 // advance moves to the next record, clearing valid at run end.
 func (c *runCursor) advance() error {
 	if c.f == nil {
-		if c.valid {
-			c.pos++
-		}
+		c.pos++
 		c.valid = c.pos < len(c.recs)
+		if c.valid {
+			c.key = c.recs[c.pos].First.UnixNano()
+		}
 		return nil
 	}
 	if c.remaining == 0 {
 		c.valid = false
 		return nil
 	}
-	var buf [netflow.SegmentRecordSize]byte
-	if _, err := io.ReadFull(c.br, buf[:]); err != nil {
+	buf, err := c.br.Peek(netflow.SegmentRecordSize)
+	if err != nil {
 		c.valid = false
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return fmt.Errorf("simnet: reading spill segment %s: %w", c.path, err)
 	}
-	if err := netflow.DecodeSegmentRecord(buf[:], &c.rec); err != nil {
+	if err := netflow.DecodeSegmentRecord(buf, &c.rec); err != nil {
 		c.valid = false
 		return err
 	}
+	_, _ = c.br.Discard(netflow.SegmentRecordSize) // cannot fail: Peek buffered these bytes
 	c.remaining--
+	c.key = c.rec.First.UnixNano()
 	c.valid = true
 	return nil
 }
@@ -246,52 +298,63 @@ func (c *runCursor) close() {
 // mergeCursors streams the union of the sorted runs to emit in time
 // order, breaking timestamp ties by cursor index (run order). This is
 // the k-way merge shared by cross-day merging (in-memory cursors) and
-// spilled-day reconstruction (segment cursors).
+// spilled-day reconstruction (segment cursors). It is a binary min-heap
+// over (start time, run index) pairs copied out of the cursors, so a
+// comparison touches neither a cursor nor a time.Time.
 func mergeCursors(curs []*runCursor, emit func(*netflow.Record) error) error {
-	h := &recordHeap{curs: curs}
-	for i := range curs {
-		if curs[i].valid {
-			h.order = append(h.order, i)
+	h := make([]mergeEntry, 0, len(curs))
+	for i, c := range curs {
+		if c.valid {
+			h = append(h, mergeEntry{c.key, i})
 		}
 	}
-	heap.Init(h)
-	for len(h.order) > 0 {
-		i := h.order[0]
-		if err := emit(curs[i].cur()); err != nil {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for len(h) > 0 {
+		c := curs[h[0].run]
+		if err := emit(c.cur()); err != nil {
 			return err
 		}
-		if err := curs[i].advance(); err != nil {
+		if err := c.advance(); err != nil {
 			return err
 		}
-		if !curs[i].valid {
-			heap.Pop(h)
+		if c.valid {
+			h[0].key = c.key
 		} else {
-			heap.Fix(h, 0)
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
+		siftDown(h, 0)
 	}
 	return nil
 }
 
-// recordHeap is a min-heap of cursor indices ordered by each cursor's
-// current record (ties by cursor index, preserving stability).
-type recordHeap struct {
-	curs  []*runCursor
-	order []int
+// mergeEntry is one live run in mergeCursors' heap.
+type mergeEntry struct {
+	key int64 // the run's current start time, Unix nanoseconds
+	run int
 }
 
-func (h *recordHeap) Len() int { return len(h.order) }
-func (h *recordHeap) Less(a, b int) bool {
-	i, j := h.order[a], h.order[b]
-	ri, rj := h.curs[i].cur(), h.curs[j].cur()
-	if !ri.First.Equal(rj.First) {
-		return ri.First.Before(rj.First)
-	}
-	return i < j
+func (a mergeEntry) less(b mergeEntry) bool {
+	return a.key < b.key || a.key == b.key && a.run < b.run
 }
-func (h *recordHeap) Swap(a, b int) { h.order[a], h.order[b] = h.order[b], h.order[a] }
-func (h *recordHeap) Push(x any)    { h.order = append(h.order, x.(int)) }
-func (h *recordHeap) Pop() any {
-	x := h.order[len(h.order)-1]
-	h.order = h.order[:len(h.order)-1]
-	return x
+
+// siftDown restores the heap order below h[i].
+func siftDown(h []mergeEntry, i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		m := l
+		if r := l + 1; r < len(h) && h[r].less(h[l]) {
+			m = r
+		}
+		if !h[m].less(h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }

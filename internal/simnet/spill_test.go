@@ -3,11 +3,13 @@ package simnet
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"unclean/internal/netflow"
+	"unclean/internal/stats"
 )
 
 func recordsIdentical(t *testing.T, label string, got, want []netflow.Record) {
@@ -52,7 +54,7 @@ func TestStreamFlowsSpillIdentical(t *testing.T) {
 	}
 
 	// A budget of a few hundred records forces many spill runs per day.
-	for _, budget := range []int{recordMemBytes * 200, recordMemBytes * 5000, 1 << 30} {
+	for _, budget := range []int{recordMemBytes * 100, recordMemBytes * 200, recordMemBytes * 5000, 1 << 30} {
 		opts := base
 		opts.SpillBudget = budget
 		opts.SpillDir = t.TempDir()
@@ -138,7 +140,7 @@ func TestStreamFlowsSpillBadDir(t *testing.T) {
 func TestDayRunsDeliverEmpty(t *testing.T) {
 	r := &dayRuns{}
 	calls := 0
-	if err := r.deliver(func(recs []netflow.Record) error {
+	if err := r.deliver(&mergeBuffers{}, func(recs []netflow.Record) error {
 		calls++
 		if len(recs) != 0 {
 			t.Fatalf("unexpected records: %d", len(recs))
@@ -149,5 +151,92 @@ func TestDayRunsDeliverEmpty(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("deliver called fn %d times, want 1", calls)
+	}
+}
+
+// TestSmallBudgetSpillsManyRuns keeps TestStreamFlowsSpillIdentical's
+// smallest budget honest: it must split every day of that window into
+// at least 50 runs, enough to exercise the merge heap's deeper levels.
+func TestSmallBudgetSpillsManyRuns(t *testing.T) {
+	cfg := DefaultConfig(1.0 / 4096)
+	cfg.Seed = 777
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := FlowOptions{BenignSourcesPerDay: 60, CandidateExtras: true}
+	sp := &daySpiller{dir: t.TempDir(), budget: recordMemBytes * 100}
+	for d := w.DayIndex(date(2006, 10, 1)); d <= w.DayIndex(date(2006, 10, 5)); d++ {
+		r, err := w.synthesizeDayRuns(d, opts, sp, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.cleanup()
+		if runs := len(r.counts) + 1; runs < 50 {
+			t.Fatalf("day %v split into %d runs, want at least 50", w.Date(d), runs)
+		}
+	}
+}
+
+// TestMergeCursorsTiesGoToLowerRun checks the merge resolves equal
+// start times to the lower run index, each run's own order kept.
+func TestMergeCursorsTiesGoToLowerRun(t *testing.T) {
+	t0 := date(2006, 10, 1)
+	rec := func(sec int, id uint32) netflow.Record {
+		return netflow.Record{Packets: id, First: t0.Add(time.Duration(sec) * time.Second)}
+	}
+	runs := [][]netflow.Record{
+		{rec(5, 10), rec(5, 11), rec(9, 12)},
+		{rec(0, 20), rec(5, 21), rec(5, 22)},
+		{},
+		{rec(5, 40), rec(9, 41)},
+		{rec(0, 50), rec(5, 51)},
+	}
+	want := []uint32{20, 50, 10, 11, 21, 22, 40, 51, 12, 41}
+	curs := make([]*runCursor, len(runs))
+	for i := range runs {
+		curs[i] = newMemCursor(runs[i])
+	}
+	var got []uint32
+	if err := mergeCursors(curs, func(r *netflow.Record) error {
+		got = append(got, r.Packets)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("merge order %v, want %v", got, want)
+	}
+}
+
+// TestMergeCursorsMatchesStableSort merges up to 80 sorted runs of
+// heavily tied records and checks the result against a stable sort of
+// their concatenation, the order a whole-day sort would give.
+func TestMergeCursorsMatchesStableSort(t *testing.T) {
+	rng := stats.NewRNG(20071024)
+	for trial := 0; trial < 30; trial++ {
+		all := tiedRecords(rng, rng.Intn(4000), 50)
+		var runs [][]netflow.Record
+		for rest := all; len(rest) > 0; {
+			n := min(len(rest), rng.Intn(100))
+			run := slices.Clone(rest[:n])
+			stableByTime(run)
+			runs = append(runs, run)
+			rest = rest[n:]
+		}
+		want := slices.Clone(all)
+		stableByTime(want)
+		curs := make([]*runCursor, len(runs))
+		for i := range runs {
+			curs[i] = newMemCursor(runs[i])
+		}
+		var got []netflow.Record
+		if err := mergeCursors(curs, func(r *netflow.Record) error {
+			got = append(got, *r)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		recordsIdentical(t, "merged runs", got, want)
 	}
 }
