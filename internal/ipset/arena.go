@@ -1,6 +1,7 @@
 package ipset
 
 import (
+	"math/bits"
 	"sync"
 
 	"unclean/internal/stats"
@@ -8,16 +9,20 @@ import (
 
 // Scratch arenas for the Monte-Carlo draw kernels. Each worker of a
 // sampling loop owns one sampleArena; a steady-state draw (sample k
-// addresses, sort them, count blocks) touches only arena memory and the
-// output cell it was assigned, performing zero heap allocations. Arenas
-// are recycled through a sync.Pool so repeated experiments reuse the
+// addresses, count blocks) touches only arena memory and the output
+// cell it was assigned, performing zero heap allocations. Arenas are
+// recycled through a sync.Pool so repeated experiments reuse the
 // high-water-mark buffers instead of regrowing them.
 
 type sampleArena struct {
-	buf    []uint32 // sampled addresses; sorted in place
-	tmp    []uint32 // radix-sort scratch
+	buf    []uint32 // the draw, ascending
 	counts []int    // per-prefix block counts
-	table  idxTable // index set / displacement map for the samplers
+	// chosen holds one bit per rank of the population drawn from, and
+	// summary one bit per non-zero word of chosen. Both are all-zero
+	// between draws: the drain that reads a draw out clears them.
+	chosen  []uint64
+	summary []uint64
+	table   idxTable // displacement map for the Fisher-Yates branch
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(sampleArena) }}
@@ -25,53 +30,58 @@ var arenaPool = sync.Pool{New: func() any { return new(sampleArena) }}
 func getArena() *sampleArena  { return arenaPool.Get().(*sampleArena) }
 func putArena(a *sampleArena) { arenaPool.Put(a) }
 
-func (a *sampleArena) ensure(k, prefixes int) {
+// ensure sizes the arena for k-of-n draws counted at prefixes lengths.
+// Buffers only grow, so a pooled arena may be larger than the current
+// draw needs; the drain visits only the words covering [0, n).
+func (a *sampleArena) ensure(n, k, prefixes int) {
 	if cap(a.buf) < k {
 		a.buf = make([]uint32, k)
-		a.tmp = make([]uint32, k)
+	}
+	if words := (n + 63) / 64; len(a.chosen) < words {
+		a.chosen = make([]uint64, words)
+		a.summary = make([]uint64, (words+63)/64)
 	}
 	if len(a.counts) < prefixes {
 		a.counts = make([]int, prefixes)
 	}
 }
 
-// sampleSorted draws a uniform k-subset of addrs (which must be sorted
-// and duplicate-free) into the arena and returns it sorted ascending. The
-// returned slice aliases arena memory and is valid until the next call.
-// When k == len(addrs) it returns addrs itself and consumes no
+// sampleSorted draws a uniform k-subset of the ranks [0, n) and returns
+// it in ascending order: the ranks themselves when addrs is nil, or
+// addrs at those ranks when addrs (sorted, duplicate-free, len n) is
+// given — which is then the sample in canonical Set order. The returned
+// slice aliases arena memory and is valid until the next call. When
+// k == n and addrs is given it returns addrs itself and consumes no
 // randomness, mirroring Set.Sample's full-set fast path.
 //
-// The generator stream consumed here is bit-for-bit the stream the
-// original map/permutation implementation consumed (same branch point,
-// same Intn sequence), so seeded experiment outputs are unchanged.
-func (a *sampleArena) sampleSorted(addrs []uint32, k int, rng *stats.RNG) []uint32 {
-	n := len(addrs)
+// The chosen ranks are marked in a bitmap, which yields them sorted
+// with no sort pass. The generator stream consumed here is bit-for-bit
+// the stream the original map/permutation implementation consumed
+// (same branch point, same Intn sequence, same duplicate fallback), so
+// seeded experiment outputs are unchanged. The compressed Set.Sample
+// draws ranks and maps them to members afterwards, so it returns
+// exactly what the plain one would under the same seed.
+func (a *sampleArena) sampleSorted(n, k int, addrs []uint32, rng *stats.RNG) []uint32 {
 	if k < 0 || k > n {
 		panic("ipset: sample size out of range")
 	}
 	if k == 0 {
 		return nil
 	}
-	if k == n {
+	if k == n && addrs != nil {
 		return addrs
 	}
-	a.ensure(k, 0)
-	buf := a.buf[:0]
+	a.ensure(n, k, 0)
 	if k <= n/16 {
-		// Floyd's subset sampling over indices. The hash-set replaces the
-		// map[int]struct{} of the original; membership decisions (and
-		// therefore the Intn stream) are identical.
-		t := &a.table
-		t.reset(k)
+		// Floyd's subset sampling over ranks. A rank already chosen
+		// falls back to i, which can never be a duplicate (all prior
+		// picks are < i).
 		for i := n - k; i < n; i++ {
 			j := rng.Intn(i + 1)
-			if !t.insert(uint32(j)) {
-				// j already chosen: Floyd's fallback picks i, which can
-				// never be a duplicate (all prior picks are < i).
+			if a.chosen[j>>6]&(1<<(j&63)) != 0 {
 				j = i
-				t.insert(uint32(j))
 			}
-			buf = append(buf, addrs[j])
+			a.mark(uint32(j))
 		}
 	} else {
 		// Sparse partial Fisher-Yates: the displacement map stands in for
@@ -84,53 +94,45 @@ func (a *sampleArena) sampleSorted(addrs []uint32, k int, rng *stats.RNG) []uint
 			j := uint32(i + rng.Intn(n-i))
 			vi, vj := t.get(uint32(i), uint32(i)), t.get(j, j)
 			t.put(j, vi)
-			buf = append(buf, addrs[vj])
+			a.mark(vj)
 		}
 	}
-	// Distinct indices of a sorted, deduplicated slice: sorting the
-	// values yields the canonical Set order with no dedup pass needed.
-	sortUint32s(buf, a.tmp)
-	return buf
+	return a.drain(n, addrs)
 }
 
-// sampleIndicesSorted draws a uniform k-subset of the ranks [0, n) into
-// the arena and returns it sorted ascending. It consumes bit-for-bit
-// the Intn stream sampleSorted consumes for the same (n, k) — the only
-// difference is that it records the chosen rank instead of addrs[rank],
-// which is what the compressed representation needs: ranks are mapped
-// to members afterwards with a container select walk, so a compressed
-// Sample returns exactly what the plain one would under the same seed.
-func (a *sampleArena) sampleIndicesSorted(n, k int, rng *stats.RNG) []uint32 {
-	if k < 0 || k > n {
-		panic("ipset: sample size out of range")
-	}
-	if k == 0 {
-		return nil
-	}
-	a.ensure(k, 0)
+// mark adds rank r to the chosen bitmap.
+func (a *sampleArena) mark(r uint32) {
+	w := r >> 6
+	a.chosen[w] |= 1 << (r & 63)
+	a.summary[w>>6] |= 1 << (w & 63)
+}
+
+// drain reads the chosen ranks below n out in ascending order — as
+// ranks, or as addrs[rank] when addrs is non-nil, so the gather is a
+// forward scan — and clears every bit it reads. The summary bitmap
+// skips empty words, so a drain costs O(n/4096 + words touched).
+func (a *sampleArena) drain(n int, addrs []uint32) []uint32 {
 	buf := a.buf[:0]
-	if k <= n/16 {
-		t := &a.table
-		t.reset(k)
-		for i := n - k; i < n; i++ {
-			j := rng.Intn(i + 1)
-			if !t.insert(uint32(j)) {
-				j = i
-				t.insert(uint32(j))
-			}
-			buf = append(buf, uint32(j))
+	summary := a.summary[:((n+63)/64+63)/64]
+	for si, s := range summary {
+		if s == 0 {
+			continue
 		}
-	} else {
-		t := &a.table
-		t.reset(k)
-		for i := 0; i < k; i++ {
-			j := uint32(i + rng.Intn(n-i))
-			vi, vj := t.get(uint32(i), uint32(i)), t.get(j, j)
-			t.put(j, vi)
-			buf = append(buf, vj)
+		summary[si] = 0
+		for ; s != 0; s &= s - 1 {
+			w := si<<6 | bits.TrailingZeros64(s)
+			word := a.chosen[w]
+			a.chosen[w] = 0
+			for ; word != 0; word &= word - 1 {
+				r := w<<6 | bits.TrailingZeros64(word)
+				if addrs != nil {
+					buf = append(buf, addrs[r])
+				} else {
+					buf = append(buf, uint32(r))
+				}
+			}
 		}
 	}
-	sortUint32s(buf, a.tmp)
 	return buf
 }
 
@@ -176,22 +178,6 @@ func (t *idxTable) reset(capacity int) {
 // bits, which scatters the near-sequential index keys well).
 func (t *idxTable) slot(key uint32) uint32 {
 	return (key * 0x9e3779b9) >> t.shift & t.mask
-}
-
-// insert adds key to the set and reports whether it was absent.
-func (t *idxTable) insert(key uint32) bool {
-	h := t.slot(key)
-	for {
-		if t.epoch[h] != t.cur {
-			t.epoch[h] = t.cur
-			t.keys[h] = key
-			return true
-		}
-		if t.keys[h] == key {
-			return false
-		}
-		h = (h + 1) & t.mask
-	}
 }
 
 // get returns the value stored at key, or fallback if key is absent.

@@ -117,11 +117,12 @@ func BenchmarkSamplePaperScale(b *testing.B) {
 }
 
 // BenchmarkSampleBlocks measures the steady-state draw kernel at paper
-// scale: one op is one control draw (sample 30k of 1M, radix sort, count
-// blocks at every prefix in [16,32]) inside a single SampleBlocks call of
-// b.N draws. With -benchmem this must report 0 allocs/op: per-call setup
-// (output matrix, forked generators, arena checkout) amortizes across
-// draws, and the per-draw kernel itself never touches the heap.
+// scale: one op is one control draw (sample 30k of 1M through the rank
+// bitmap, count blocks at every prefix in [16,32]) inside a single
+// SampleBlocks call of b.N draws. With -benchmem this must report 0
+// allocs/op: per-call setup (output matrix, forked generators, arena
+// checkout) amortizes across draws, and the per-draw kernel itself never
+// touches the heap.
 func BenchmarkSampleBlocks(b *testing.B) {
 	s, _ := paperSets(b)
 	rng := stats.NewRNG(4)
@@ -150,8 +151,9 @@ func BenchmarkSampleBlocksDense(b *testing.B) {
 }
 
 // BenchmarkSampleIntersections measures the steady-state temporal-test
-// draw kernel (sample, sort, intersect against a 50k-address target at
-// every prefix in [16,32]). 0 allocs/op steady state.
+// draw kernel (sample, then one pass counting shared blocks with a
+// 50k-address target at every prefix in [16,32]). 0 allocs/op steady
+// state.
 func BenchmarkSampleIntersections(b *testing.B) {
 	s, target := paperSets(b)
 	rng := stats.NewRNG(6)

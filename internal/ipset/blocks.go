@@ -1,6 +1,7 @@
 package ipset
 
 import (
+	"math/bits"
 	"sort"
 
 	"unclean/internal/netaddr"
@@ -130,33 +131,62 @@ func (s Set) BlockIntersectCount(other Set, n int) int {
 	if s.comp != nil && other.comp != nil {
 		return blockIntersectCountContainers(s.comp, other.comp, n)
 	}
-	return blockIntersectCount(s.raw(), other.raw(), maskFor(n))
+	var out [1]int
+	blockIntersectCountsInto(s.raw(), other.raw(), n, n, out[:])
+	return out[0]
 }
 
-// blockIntersectCount is the raw-slice core of BlockIntersectCount; the
-// draw kernels call it directly against arena scratch.
-func blockIntersectCount(x, y []uint32, mask uint32) int {
-	i, j := 0, 0
-	count := 0
-	for i < len(x) && j < len(y) {
-		a, b := x[i]&mask, y[j]&mask
-		switch {
-		case a < b:
-			i++
-		case a > b:
+// blockIntersectCountsInto writes |C_n(x) ∩ C_n(y)| for every n in
+// [lo, hi] into out (len(out) >= hi-lo+1) in one merge pass. x and y
+// must be sorted and duplicate-free. The draw kernels call it against
+// arena scratch; BlockIntersectCount wraps it for the public API.
+//
+// Let p be x[i]'s common prefix with x[i-1] (-1 for i == 0) and m its
+// longest common prefix with any member of y, which one of its two
+// neighbours in y attains. x[i] is the first member of x in its n-bit
+// block for every n > p, and that block holds a member of y exactly
+// when n <= m, since every address in it shares those n bits. So x[i]
+// adds one to the count at each n in (p, m], recorded as +1 at p+1 and
+// -1 at m+1 in a difference array that a prefix sum turns into counts.
+func blockIntersectCountsInto(x, y []uint32, lo, hi int, out []int) {
+	out = out[:hi-lo+1]
+	clear(out)
+	if len(x) == 0 || len(y) == 0 {
+		return
+	}
+	var diff [34]int
+	j := 0 // first index of y not below the current x[i]
+	for i, v := range x {
+		for j < len(y) && y[j] < v {
 			j++
+		}
+		// The neighbour sharing the longer prefix has the smaller xor.
+		var d uint32
+		switch {
+		case j == len(y):
+			d = v ^ y[j-1]
+		case j == 0:
+			d = v ^ y[0]
 		default:
-			count++
-			// Skip the rest of this block on both sides.
-			for i < len(x) && x[i]&mask == a {
-				i++
-			}
-			for j < len(y) && y[j]&mask == b {
-				j++
-			}
+			d = min(v^y[j-1], v^y[j])
+		}
+		m := bits.LeadingZeros32(d)
+		p := -1
+		if i > 0 {
+			p = commonPrefixLen(x[i-1], v)
+		}
+		if m > p {
+			diff[p+1]++
+			diff[m+1]--
 		}
 	}
-	return count
+	sum := 0
+	for n := 0; n <= hi; n++ {
+		sum += diff[n]
+		if n >= lo {
+			out[n-lo] = sum
+		}
+	}
 }
 
 // InBlocks reports whether a resides in one of the n-bit blocks covering

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"unclean/internal/netaddr"
+	"unclean/internal/stats"
 )
 
 func TestBlockCountKnown(t *testing.T) {
@@ -134,6 +135,87 @@ func TestBlockIntersectCountProperties(t *testing.T) {
 	}
 	if err := quick.Check(at32, &quick.Config{Rand: rand.New(rand.NewSource(20071024))}); err != nil {
 		t.Errorf("/32 equals raw intersection: %v", err)
+	}
+}
+
+// blockIntersectCount is the per-prefix merge that blockIntersectCountsInto
+// replaced: one pass over both slices for a single mask, skipping the
+// rest of each shared block. It stays here as the oracle.
+func blockIntersectCount(x, y []uint32, mask uint32) int {
+	i, j := 0, 0
+	count := 0
+	for i < len(x) && j < len(y) {
+		a, b := x[i]&mask, y[j]&mask
+		switch {
+		case a < b:
+			i++
+		case a > b:
+			j++
+		default:
+			count++
+			for i < len(x) && x[i]&mask == a {
+				i++
+			}
+			for j < len(y) && y[j]&mask == b {
+				j++
+			}
+		}
+	}
+	return count
+}
+
+// TestBlockIntersectCountsMatchesPerPrefix pins the one-pass all-prefix
+// kernel to the per-prefix merge on every pair of fixture shapes, in
+// both argument orders, over full and partial prefix ranges.
+func TestBlockIntersectCountsMatchesPerPrefix(t *testing.T) {
+	rng := stats.NewRNG(1401)
+	cluster := addrsOf(clusteredSet(rng, 6, 400))
+	// Bit-flipped copies of the clustered set: one shares every block
+	// down to /31 with it, one shares no block at any n >= 1.
+	near, far := make([]uint32, len(cluster)), make([]uint32, len(cluster))
+	for i, v := range cluster {
+		near[i] = v ^ 1
+		far[i] = v ^ 0x8000_0000
+	}
+	sets := []struct {
+		name  string
+		addrs []uint32
+	}{
+		{"empty", nil},
+		{"single", []uint32{0x0a000001}},
+		{"single-near", []uint32{0x0a0000ff}},
+		{"edges", []uint32{0, 1, 63, 64, 0xffff, 0x10000, 0x7fffffff, 0x80000000, 0xffffffff}},
+		{"low", []uint32{0, 1, 2, 3}},
+		{"high", []uint32{0xfffffffc, 0xfffffffe, 0xffffffff}},
+		{"random", addrsOf(randomSet(rng, 3000))},
+		{"random-small", addrsOf(randomSet(rng, 500))},
+		{"cluster", cluster},
+		{"cluster-sub", addrsOf(FromUint32s(cluster).Sample(len(cluster)/3, rng))},
+		{"cluster-near", addrsOf(FromUint32s(near))},
+		{"cluster-far", addrsOf(FromUint32s(far))},
+		{"cluster-many", addrsOf(clusteredSet(rng, 40, 30))},
+	}
+	ranges := [][2]int{{0, 32}, {16, 32}, {24, 24}}
+	out := make([]int, 34)
+	for _, xs := range sets {
+		for _, ys := range sets {
+			xn, x, yn, y := xs.name, xs.addrs, ys.name, ys.addrs
+			for _, r := range ranges {
+				lo, hi := r[0], r[1]
+				for i := range out {
+					out[i] = -1 // stale values must be overwritten
+				}
+				blockIntersectCountsInto(x, y, lo, hi, out)
+				for n := lo; n <= hi; n++ {
+					if want := blockIntersectCount(x, y, maskFor(n)); out[n-lo] != want {
+						t.Fatalf("x=%s y=%s [%d,%d]: /%d = %d, want %d", xn, yn, lo, hi, n, out[n-lo], want)
+					}
+				}
+				if out[hi-lo+1] != -1 {
+					t.Fatalf("x=%s y=%s [%d,%d]: wrote past hi-lo", xn, yn, lo, hi)
+				}
+			}
+		}
 	}
 }
 

@@ -79,7 +79,9 @@ func ReadBinary(r io.Reader) (Set, error) {
 	if count > 1<<32 {
 		return Set{}, fmt.Errorf("ipset: implausible count %d", count)
 	}
-	addrs := make([]uint32, 0, count)
+	// count is untrusted until the deltas back it: pre-size for at most
+	// 64k addresses and let append grow the rest.
+	addrs := make([]uint32, 0, min(count, 1<<16))
 	prev := int64(-1)
 	for i := uint64(0); i < count; i++ {
 		delta, err := binary.ReadUvarint(br)

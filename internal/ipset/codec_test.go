@@ -2,7 +2,9 @@ package ipset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -102,5 +104,22 @@ func TestReadBinaryRejects(t *testing.T) {
 	buf2.Write([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // huge delta
 	if _, err := ReadBinary(&buf2); err == nil {
 		t.Error("address overflow accepted")
+	}
+}
+
+// TestReadBinaryLyingCount feeds a v1 header that claims 2^30 addresses
+// and carries none. The reader must fail on the missing first delta
+// without first reserving room for the claimed count (4 GiB).
+func TestReadBinaryLyingCount(t *testing.T) {
+	data := binary.AppendUvarint(append([]byte(nil), codecMagic[:]...), 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("image with a count no deltas back was accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Fatalf("rejecting a %d-byte image allocated %d bytes", len(data), alloc)
 	}
 }

@@ -30,11 +30,9 @@ func (s Set) Sample(k int, rng *stats.RNG) Set {
 		// them to members with one container select walk — the draw is
 		// container-wise, never a decompression, and seeded results
 		// match the plain representation exactly.
-		idxs := a.sampleIndicesSorted(n, k, rng)
-		s.comp.selectInto(idxs, out)
+		s.comp.selectInto(a.sampleSorted(n, k, nil, rng), out)
 	} else {
-		sub := a.sampleSorted(s.addrs, k, rng)
-		copy(out, sub)
+		copy(out, a.sampleSorted(n, k, s.addrs, rng))
 	}
 	putArena(a)
 	return Set{addrs: out}
@@ -49,8 +47,8 @@ func (s Set) Sample(k int, rng *stats.RNG) Set {
 // is forked from rng up front (in draw order), so results are
 // deterministic and identical to a sequential evaluation of the same
 // forks. Each worker owns a scratch arena and every draw runs the fused
-// sample-sort-count kernel against it, so a steady-state draw performs
-// zero heap allocations.
+// sample-count kernel against it, so a steady-state draw performs zero
+// heap allocations.
 func (s Set) SampleBlocks(k, size, loBits, hiBits int, rng *stats.RNG) [][]float64 {
 	if loBits < 0 || hiBits > 32 || loBits > hiBits {
 		panic("ipset: invalid prefix range")
@@ -61,10 +59,10 @@ func (s Set) SampleBlocks(k, size, loBits, hiBits int, rng *stats.RNG) [][]float
 		out[i] = make([]float64, k)
 	}
 	addrs := s.raw() // one materialization shared by every draw
-	arenas := newArenas(stats.Workers(k), size, prefixes)
+	arenas := newArenas(stats.Workers(k), len(addrs), size, prefixes)
 	stats.ForEachDraw(k, rng, func(worker, draw int, drawRNG *stats.RNG) {
 		a := arenas[worker]
-		sub := a.sampleSorted(addrs, size, drawRNG)
+		sub := a.sampleSorted(len(addrs), size, addrs, drawRNG)
 		counts := a.counts[:prefixes]
 		blockCountsInto(sub, loBits, hiBits, counts)
 		for i, c := range counts {
@@ -91,24 +89,27 @@ func (s Set) SampleIntersections(target Set, k, size, loBits, hiBits int, rng *s
 		out[i] = make([]float64, k)
 	}
 	addrs, targetAddrs := s.raw(), target.raw()
-	arenas := newArenas(stats.Workers(k), size, prefixes)
+	arenas := newArenas(stats.Workers(k), len(addrs), size, prefixes)
 	stats.ForEachDraw(k, rng, func(worker, draw int, drawRNG *stats.RNG) {
 		a := arenas[worker]
-		sub := a.sampleSorted(addrs, size, drawRNG)
-		for n := loBits; n <= hiBits; n++ {
-			out[n-loBits][draw] = float64(blockIntersectCount(sub, targetAddrs, maskFor(n)))
+		sub := a.sampleSorted(len(addrs), size, addrs, drawRNG)
+		counts := a.counts[:prefixes]
+		blockIntersectCountsInto(sub, targetAddrs, loBits, hiBits, counts)
+		for i, c := range counts {
+			out[i][draw] = float64(c)
 		}
 	})
 	releaseArenas(arenas)
 	return out
 }
 
-// newArenas checks out one warmed scratch arena per worker.
-func newArenas(workers, size, prefixes int) []*sampleArena {
+// newArenas checks out one scratch arena per worker, warmed for size-of-n
+// draws.
+func newArenas(workers, n, size, prefixes int) []*sampleArena {
 	arenas := make([]*sampleArena, workers)
 	for i := range arenas {
 		arenas[i] = getArena()
-		arenas[i].ensure(size, prefixes)
+		arenas[i].ensure(n, size, prefixes)
 	}
 	return arenas
 }

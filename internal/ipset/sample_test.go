@@ -1,6 +1,7 @@
 package ipset
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -179,33 +180,121 @@ func referenceSample(s Set, k int, rng *stats.RNG) Set {
 
 // TestSampleMatchesReference pins both sampler branches against the
 // original implementation: identical sets AND identical rng consumption
-// (checked by comparing the next parent draw).
+// (checked by comparing the next parent draw). Each population is drawn
+// from in both representations, so the compressed rank drain is pinned
+// as well as the plain address gather.
 func TestSampleMatchesReference(t *testing.T) {
+	// check draws k from pop in both representations and compares each
+	// draw, and the next parent draw, with the reference's.
+	check := func(t *testing.T, pop Set, k int) {
+		t.Helper()
+		for _, rep := range []struct {
+			name string
+			s    Set
+		}{{"plain", pop}, {"compressed", pop.Compress()}} {
+			ra, rb := stats.NewRNG(4242), stats.NewRNG(4242)
+			got := rep.s.Sample(k, ra)
+			want := referenceSample(pop, k, rb)
+			if !got.Equal(want) {
+				t.Fatalf("%s k=%d: sample differs from reference implementation", rep.name, k)
+			}
+			if ra.Uint64() != rb.Uint64() {
+				t.Fatalf("%s k=%d: rng consumption differs from reference implementation", rep.name, k)
+			}
+		}
+	}
+
+	// 4000 ranks = 62.5 words: the last bitmap word is partial.
 	s := randomSet(stats.NewRNG(900), 4000)
 	cases := []struct {
 		name string
 		k    int
 	}{
 		{"floyd-tiny", 5},
-		{"floyd", 200},          // 200 <= 4000/16 -> Floyd branch
-		{"floyd-edge", 250},     // boundary: k == n/16 stays on Floyd
-		{"fisher-yates", 251},   // first k past the boundary
+		{"floyd", 200},        // 200 <= 4000/16 -> Floyd branch
+		{"floyd-edge", 250},   // boundary: k == n/16 stays on Floyd
+		{"fisher-yates", 251}, // first k past the boundary
 		{"fisher-yates-mid", 2000},
 		{"fisher-yates-big", 3999},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ra, rb := stats.NewRNG(4242), stats.NewRNG(4242)
-			got := s.Sample(tc.k, ra)
-			want := referenceSample(s, tc.k, rb)
-			if !got.Equal(want) {
-				t.Fatalf("k=%d: sample differs from reference implementation", tc.k)
-			}
-			if ra.Uint64() != rb.Uint64() {
-				t.Fatalf("k=%d: rng consumption differs from reference implementation", tc.k)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { check(t, s, tc.k) })
 	}
+
+	// denseSet holds a /16 with ~20k members (a bitmap container) and a
+	// complete /24 (a run container) over a sparse background.
+	denseSet := func(rng *stats.RNG) Set {
+		b := NewBuilder(24000)
+		for i := 0; i < 3000; i++ {
+			b.Add(netaddr.Addr(rng.Uint32()))
+		}
+		base := rng.Uint32() &^ 0xffff
+		for i := 0; i < 20000; i++ {
+			b.Add(netaddr.Addr(base | rng.Uint32()&0xffff))
+		}
+		blk := rng.Uint32() &^ 0xff
+		for v := uint32(0); v < 256; v++ {
+			b.Add(netaddr.Addr(blk | v))
+		}
+		return b.Build()
+	}
+	clustered, dense := clusteredSet(stats.NewRNG(903), 7, 700), denseSet(stats.NewRNG(904))
+	cn, dn := clustered.Len(), dense.Len()
+	pops := []struct {
+		name string
+		s    Set
+		ks   []int // Floyd, Floyd at the boundary, then Fisher-Yates
+	}{
+		// 9001 ranks span three summary words, the last one partial.
+		{"random-9001", randomSet(stats.NewRNG(902), 9001), []int{1, 562, 563, 8000}},
+		{"clustered", clustered, []int{3, cn / 16, cn/16 + 1, cn * 4 / 5}},
+		{"dense", dense, []int{17, dn / 16, dn/16 + 1, dn - 1}},
+	}
+	for _, pop := range pops {
+		for _, k := range pop.ks {
+			t.Run(fmt.Sprintf("%s/k=%d", pop.name, k), func(t *testing.T) { check(t, pop.s, k) })
+		}
+	}
+
+	// One arena drawing at a large n and then at smaller ones: bits a
+	// large draw left behind, or words past the smaller n, would show up
+	// as extra or wrong members. The population 0..n-1 holds each rank
+	// as its own address, so the rank drain is checked against the same
+	// reference.
+	t.Run("arena-reuse", func(t *testing.T) {
+		a := new(sampleArena)
+		for i, c := range []struct{ n, k int }{
+			{70001, 60000}, {70001, 4000}, {5000, 4000}, {4097, 200}, {65, 64}, {64, 3}, {100, 99},
+		} {
+			ranks := make([]uint32, c.n)
+			for r := range ranks {
+				ranks[r] = uint32(r)
+			}
+			pop := FromUint32s(ranks)
+			for _, addrs := range [][]uint32{nil, ranks} {
+				seed := uint64(5000 + i)
+				ra, rb := stats.NewRNG(seed), stats.NewRNG(seed)
+				got := FromUint32s(a.sampleSorted(c.n, c.k, addrs, ra))
+				want := referenceSample(pop, c.k, rb)
+				if !got.Equal(want) {
+					t.Fatalf("n=%d k=%d gather=%v: sample differs from reference", c.n, c.k, addrs != nil)
+				}
+				if ra.Uint64() != rb.Uint64() {
+					t.Fatalf("n=%d k=%d gather=%v: rng consumption differs from reference", c.n, c.k, addrs != nil)
+				}
+			}
+		}
+		for i, w := range a.chosen {
+			if w != 0 {
+				t.Fatalf("chosen word %d left set after drains", i)
+			}
+		}
+		for i, w := range a.summary {
+			if w != 0 {
+				t.Fatalf("summary word %d left set after drains", i)
+			}
+		}
+	})
 }
 
 // TestSampleDeterministicAcrossGOMAXPROCS locks in the concurrency
