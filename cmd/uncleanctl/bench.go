@@ -24,12 +24,12 @@ import (
 // gate regressions (including peak RSS) against a committed baseline.
 //
 // The pipeline is the paper's, not a microbenchmark: build the world,
-// draw the control sample (46.9M addresses at -scale 1) and compress
-// it, serve it back through the mmap-friendly v2 image, then stream
-// the whole unclean window through the compiled C_n(R_bot-test) sweep
-// with a bounded spill budget. Peak RSS comes from the kernel's VmHWM
-// high-water mark, so it covers every phase — including the ones that
-// would blow up without the compressed sets and the spill pipeline.
+// draw the control sample (46.9M addresses at -scale 1), serve it
+// back through the mmap-friendly v2 container image, then stream the
+// whole unclean window through the compiled C_n(R_bot-test) sweep with
+// a bounded spill budget. Peak RSS comes from the kernel's VmHWM
+// high-water mark, so it covers every phase — including the sweep,
+// which would blow up without the spill pipeline.
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	scaleDen, seed, _, benign := commonFlags(fs)
@@ -79,9 +79,9 @@ func cmdBench(args []string) error {
 	benchLine("BenchmarkPaperWorld/"+scaleTag, time.Since(start),
 		metric{int64(world.Model.NetworkCount()), "networks"})
 
-	// Phase 2: the control report — the set whose raw form is ~188 MB
-	// at paper scale — drawn and compressed. Same size cap and RNG
-	// stream as experiments.Build, so this is the §6 artifact itself.
+	// Phase 2: the control report — ~188 MB as a sorted slice at paper
+	// scale — drawn. Same size cap and RNG stream as experiments.Build,
+	// so this is the §6 artifact itself.
 	progress.Stage("control")
 	start = time.Now()
 	controlSize := world.ScaledSize(experiments.PaperControlSize)
@@ -92,13 +92,11 @@ func cmdBench(args []string) error {
 	if err != nil {
 		return err
 	}
-	control = control.Compress()
 	benchLine("BenchmarkPaperControl/"+scaleTag, time.Since(start),
 		metric{int64(control.Len()), "addrs"},
-		metric{int64(control.FootprintBytes()), "set-bytes"},
 		metric{int64(control.Len()) * 4, "raw-bytes"})
 
-	// Phase 3: persist the compressed control as a v2 image and serve
+	// Phase 3: persist the control as a v2 container image and serve
 	// the paper's block-counting queries straight off the mapping.
 	progress.Stage("mapped")
 	start = time.Now()

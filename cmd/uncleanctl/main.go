@@ -91,8 +91,8 @@ commands:
                         and compare its blocklist against a static one
   block   [flags]       stream the October traffic through the compiled
                         C_n(R_bot-test) sweep and report blocking throughput
-  bench   [flags]       run the §6 pipeline end-to-end (world, compressed
-                        control sample, mmap-served image, spilled sweep)
+  bench   [flags]       run the §6 pipeline end-to-end (world, control
+                        sample, mmap-served v2 image, spilled sweep)
                         and print wall time / allocs / peak RSS in
                         go-bench format for the benchjson gate
   analyze [flags]       run the spatial/temporal tests over .report files

@@ -31,7 +31,7 @@ func main() {
 	// Compile the /24 block list and virtually apply it to the October
 	// traffic. Nothing is dropped; every flow is scored as if it were.
 	list := blocklist.FromSet(botTest, 24, "bot-test /24")
-	eval := blocklist.Evaluate(list, ds.Flows)
+	eval := evaluate(list, ds)
 	fmt.Printf("traffic: %d flows; blocked %d flows from %d sources (%d payload-bearing flows lost)\n\n",
 		len(ds.Flows), eval.FlowsBlocked, eval.BlockedSources.Len(), eval.PayloadBlocked)
 
@@ -68,7 +68,15 @@ func main() {
 	scorer.AddReport(core.DimSpam, ds.Report("spam").Addrs, 1)
 	scorer.AddReport(core.DimPhish, ds.Report("phish").Addrs, 1)
 	scored := blocklist.FromSet(scorer.Blocklist(0.8), 24, "score>=0.8")
-	scoredEval := blocklist.Evaluate(scored, ds.Flows)
+	scoredEval := evaluate(scored, ds)
 	scoredConf := scoredEval.Score(p.Hostile, p.Innocent)
 	fmt.Printf("\nscore-driven list (%d rules): %s\n", scored.Len(), scoredConf)
+}
+
+// evaluate compiles a list into its flat matcher and streams the
+// October traffic through it.
+func evaluate(list *blocklist.Trie, ds *experiments.Dataset) blocklist.Eval {
+	ev := blocklist.NewEvaluator(blocklist.Compile(list))
+	ev.Consume(ds.Flows)
+	return ev.Result()
 }

@@ -28,7 +28,7 @@ const cacheBits = 13
 const compactThreshold = 1 << 20
 
 // Evaluator scores a stream of flow records against one compiled
-// blocklist, accumulating the same Eval a one-shot Evaluate over the
+// blocklist, accumulating the same Eval a sequential scan of the
 // concatenated log would produce. Feed it chunks with Consume and
 // finish with Result. Not safe for concurrent use.
 type Evaluator struct {
@@ -189,8 +189,8 @@ func (sv *SweepEvaluator) Consume(records []netflow.Record) {
 func (sv *SweepEvaluator) Sources() int { return len(sv.sources) }
 
 // Results finalizes the per-list evaluations: element i scores lists[i]
-// (or prefix length lo+i for SweepSet) exactly as a standalone Evaluate
-// against that list would.
+// (or prefix length lo+i for SweepSet) exactly as an Evaluator over
+// that list alone would.
 func (sv *SweepEvaluator) Results() []Eval {
 	builders := make([]*ipset.Builder, 2*sv.k) // blocked then passed per list
 	for i := range builders {

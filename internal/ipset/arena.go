@@ -46,29 +46,27 @@ func (a *sampleArena) ensure(n, k, prefixes int) {
 	}
 }
 
-// sampleSorted draws a uniform k-subset of the ranks [0, n) and returns
-// it in ascending order: the ranks themselves when addrs is nil, or
-// addrs at those ranks when addrs (sorted, duplicate-free, len n) is
-// given — which is then the sample in canonical Set order. The returned
-// slice aliases arena memory and is valid until the next call. When
-// k == n and addrs is given it returns addrs itself and consumes no
-// randomness, mirroring Set.Sample's full-set fast path.
+// sampleSorted draws a uniform k-subset of addrs (sorted,
+// duplicate-free) and returns it in ascending order, which is the
+// sample in canonical Set order. The returned slice aliases arena
+// memory and is valid until the next call. When k == len(addrs) it
+// returns addrs itself and consumes no randomness, mirroring
+// Set.Sample's full-set fast path.
 //
 // The chosen ranks are marked in a bitmap, which yields them sorted
 // with no sort pass. The generator stream consumed here is bit-for-bit
 // the stream the original map/permutation implementation consumed
 // (same branch point, same Intn sequence, same duplicate fallback), so
-// seeded experiment outputs are unchanged. The compressed Set.Sample
-// draws ranks and maps them to members afterwards, so it returns
-// exactly what the plain one would under the same seed.
-func (a *sampleArena) sampleSorted(n, k int, addrs []uint32, rng *stats.RNG) []uint32 {
+// seeded experiment outputs are unchanged.
+func (a *sampleArena) sampleSorted(k int, addrs []uint32, rng *stats.RNG) []uint32 {
+	n := len(addrs)
 	if k < 0 || k > n {
 		panic("ipset: sample size out of range")
 	}
 	if k == 0 {
 		return nil
 	}
-	if k == n && addrs != nil {
+	if k == n {
 		return addrs
 	}
 	a.ensure(n, k, 0)
@@ -97,7 +95,7 @@ func (a *sampleArena) sampleSorted(n, k int, addrs []uint32, rng *stats.RNG) []u
 			a.mark(vj)
 		}
 	}
-	return a.drain(n, addrs)
+	return a.drain(addrs)
 }
 
 // mark adds rank r to the chosen bitmap.
@@ -107,13 +105,13 @@ func (a *sampleArena) mark(r uint32) {
 	a.summary[w>>6] |= 1 << (w & 63)
 }
 
-// drain reads the chosen ranks below n out in ascending order — as
-// ranks, or as addrs[rank] when addrs is non-nil, so the gather is a
-// forward scan — and clears every bit it reads. The summary bitmap
-// skips empty words, so a drain costs O(n/4096 + words touched).
-func (a *sampleArena) drain(n int, addrs []uint32) []uint32 {
+// drain reads addrs at the chosen ranks out in ascending order — a
+// forward gather — and clears every bit it reads. The summary bitmap
+// skips empty words, so a drain costs O(len(addrs)/4096 + words
+// touched).
+func (a *sampleArena) drain(addrs []uint32) []uint32 {
 	buf := a.buf[:0]
-	summary := a.summary[:((n+63)/64+63)/64]
+	summary := a.summary[:((len(addrs)+63)/64+63)/64]
 	for si, s := range summary {
 		if s == 0 {
 			continue
@@ -124,12 +122,7 @@ func (a *sampleArena) drain(n int, addrs []uint32) []uint32 {
 			word := a.chosen[w]
 			a.chosen[w] = 0
 			for ; word != 0; word &= word - 1 {
-				r := w<<6 | bits.TrailingZeros64(word)
-				if addrs != nil {
-					buf = append(buf, addrs[r])
-				} else {
-					buf = append(buf, uint32(r))
-				}
+				buf = append(buf, addrs[w<<6|bits.TrailingZeros64(word)])
 			}
 		}
 	}

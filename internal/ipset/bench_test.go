@@ -1,6 +1,7 @@
 package ipset
 
 import (
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -175,8 +176,8 @@ func BenchmarkContains(b *testing.B) {
 }
 
 // clusteredSet builds a membership shaped like unclean space: addresses
-// concentrated in a modest number of /16s. This is the shape the
-// compressed representation targets.
+// concentrated in a modest number of /16s. This is the shape the v2
+// image's containers target.
 func clusteredSet(rng *stats.RNG, blocks, perBlock int) Set {
 	b := NewBuilder(blocks * perBlock)
 	for k := 0; k < blocks; k++ {
@@ -188,51 +189,30 @@ func clusteredSet(rng *stats.RNG, blocks, perBlock int) Set {
 	return b.Build()
 }
 
-func BenchmarkCompress1M(b *testing.B) {
+// BenchmarkMappedBlockCounts answers |C_n| for every n in [0,32] from
+// the container metadata of a memory-mapped v2 image, without decoding
+// it.
+func BenchmarkMappedBlockCounts(b *testing.B) {
 	rng := stats.NewRNG(8)
 	s := clusteredSet(rng, 128, 8192)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s.Compress().Len() != s.Len() {
-			b.Fatal("bad compress")
-		}
+	path := filepath.Join(b.TempDir(), "set.v2")
+	if err := s.WriteFileV2(path); err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkCompressedBlockCounts answers |C_n| for every n in [0,32]
-// from container metadata alone — no decompression.
-func BenchmarkCompressedBlockCounts(b *testing.B) {
-	rng := stats.NewRNG(8)
-	s := clusteredSet(rng, 128, 8192).Compress()
+	m, err := OpenMapped(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if s.BlockCounts(0, 32)[32] != s.Len() {
+		for n := 0; n <= 32; n++ {
+			m.Set.BlockCount(n)
+		}
+		if m.Set.BlockCount(32) != s.Len() {
 			b.Fatal("bad counts")
 		}
-	}
-}
-
-func BenchmarkCompressedIntersect(b *testing.B) {
-	rng := stats.NewRNG(8)
-	x := clusteredSet(rng, 128, 8192).Compress()
-	y := clusteredSet(rng, 128, 8192).Union(x.Sample(x.Len()/4, rng)).Compress()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Intersect(y)
-	}
-}
-
-func BenchmarkCompressedBlockIntersectCount(b *testing.B) {
-	rng := stats.NewRNG(8)
-	x := clusteredSet(rng, 128, 8192).Compress()
-	y := clusteredSet(rng, 128, 8192).Union(x.Sample(x.Len()/4, rng)).Compress()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.BlockIntersectCount(y, 24)
 	}
 }
 

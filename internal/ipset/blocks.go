@@ -8,15 +8,9 @@ import (
 )
 
 // BlockCount returns |C_n(S)|: the number of distinct n-bit CIDR blocks
-// containing members of the set. The plain representation runs one
-// linear pass over the sorted addresses; the compressed one reads the
-// answer off container metadata (keys for n <= 16, per-container masked
-// counts for longer prefixes) without decompressing.
+// containing members of the set, in one linear pass over the sorted
+// addresses.
 func (s Set) BlockCount(n int) int {
-	maskFor(n) // validate n
-	if s.comp != nil {
-		return s.comp.blockCount(n)
-	}
 	mask := maskFor(n)
 	if len(s.addrs) == 0 {
 		return 0
@@ -33,21 +27,14 @@ func (s Set) BlockCount(n int) int {
 }
 
 // BlockCounts returns |C_n(S)| for every n in [lo, hi]: the element at
-// index n-lo is the count at prefix length n. The plain path exploits
-// the identity |C_n(S)| = 1 + #{consecutive pairs with common prefix
-// < n} in a single pass; the compressed path answers each n from
-// container metadata.
+// index n-lo is the count at prefix length n. It exploits the identity
+// |C_n(S)| = 1 + #{consecutive pairs with common prefix < n} in a
+// single pass.
 func (s Set) BlockCounts(lo, hi int) []int {
 	if lo < 0 || hi > 32 || lo > hi {
 		panic("ipset: invalid prefix range")
 	}
 	out := make([]int, hi-lo+1)
-	if s.comp != nil {
-		for n := lo; n <= hi; n++ {
-			out[n-lo] = s.comp.blockCount(n)
-		}
-		return out
-	}
 	blockCountsInto(s.addrs, lo, hi, out)
 	return out
 }
@@ -86,19 +73,10 @@ func blockCountsInto(addrs []uint32, lo, hi int, out []int) {
 // Blocks returns C_n(S): the distinct n-bit blocks containing members of
 // the set, in ascending order.
 func (s Set) Blocks(n int) []netaddr.Block {
-	mask := maskFor(n)
 	var out []netaddr.Block
-	var prev uint32
-	have := false
-	s.Each(func(a netaddr.Addr) bool {
-		p := uint32(a) & mask
-		if !have || p != prev {
-			out = append(out, netaddr.Addr(p).Block(n))
-			prev = p
-			have = true
-		}
-		return true
-	})
+	for _, p := range s.MaskedSet(n).addrs {
+		out = append(out, netaddr.Addr(p).Block(n))
+	}
 	return out
 }
 
@@ -106,33 +84,22 @@ func (s Set) Blocks(n int) []netaddr.Block {
 // addresses (one per distinct block).
 func (s Set) MaskedSet(n int) Set {
 	mask := maskFor(n)
-	out := make([]uint32, 0, min(s.Len(), 1024))
-	var prev uint32
-	have := false
-	s.Each(func(a netaddr.Addr) bool {
-		p := uint32(a) & mask
-		if !have || p != prev {
+	out := make([]uint32, 0, min(len(s.addrs), 1024))
+	for i, u := range s.addrs {
+		if p := u & mask; i == 0 || p != out[len(out)-1] {
 			out = append(out, p)
-			prev = p
-			have = true
 		}
-		return true
-	})
+	}
 	return Set{addrs: out}
 }
 
 // BlockIntersectCount returns |C_n(S) ∩ C_n(other)|: how many n-bit blocks
 // contain members of both sets. This is the predictive-capacity statistic
-// of the temporal uncleanliness test (Eq. 4). When both sets are
-// compressed the count is computed container-wise from masked-presence
-// bitmaps; mixed or plain pairs use the sorted-slice merge.
+// of the temporal uncleanliness test (Eq. 4).
 func (s Set) BlockIntersectCount(other Set, n int) int {
 	maskFor(n) // validate n
-	if s.comp != nil && other.comp != nil {
-		return blockIntersectCountContainers(s.comp, other.comp, n)
-	}
 	var out [1]int
-	blockIntersectCountsInto(s.raw(), other.raw(), n, n, out[:])
+	blockIntersectCountsInto(s.addrs, other.addrs, n, n, out[:])
 	return out[0]
 }
 
@@ -195,26 +162,6 @@ func blockIntersectCountsInto(x, y []uint32, lo, hi int, out []int) {
 func (s Set) InBlocks(a netaddr.Addr, n int) bool {
 	mask := maskFor(n)
 	want := uint32(a) & mask
-	if s.comp != nil {
-		lo, hi := want, want|^mask
-		loKey, hiKey := uint16(lo>>16), uint16(hi>>16)
-		// First container whose key could fall in the block's key range.
-		cs := s.comp.cs
-		i := sort.Search(len(cs), func(i int) bool { return cs[i].key >= loKey })
-		for ; i < len(cs) && cs[i].key <= hiKey; i++ {
-			cLo, cHi := uint16(0), uint16(0xffff)
-			if cs[i].key == loKey {
-				cLo = uint16(lo)
-			}
-			if cs[i].key == hiKey {
-				cHi = uint16(hi)
-			}
-			if cs[i].anyInRange(cLo, cHi) {
-				return true
-			}
-		}
-		return false
-	}
 	i := sort.Search(len(s.addrs), func(i int) bool { return s.addrs[i]&mask >= want })
 	return i < len(s.addrs) && s.addrs[i]&mask == want
 }
@@ -224,7 +171,7 @@ func (s Set) InBlocks(a netaddr.Addr, n int) bool {
 // blocking analysis materializes the candidate population.
 func (s Set) WithinBlocks(cover Set, n int) Set {
 	mask := maskFor(n)
-	sa, ca := s.raw(), cover.raw()
+	sa, ca := s.addrs, cover.addrs
 	var out []uint32
 	i, j := 0, 0
 	for i < len(sa) && j < len(ca) {
@@ -250,10 +197,9 @@ func (s Set) WithinBlocks(cover Set, n int) Set {
 func (s Set) BlockPopulations(n int) map[netaddr.Block]int {
 	mask := maskFor(n)
 	out := make(map[netaddr.Block]int)
-	s.Each(func(a netaddr.Addr) bool {
-		out[netaddr.Addr(uint32(a)&mask).Block(n)]++
-		return true
-	})
+	for _, u := range s.addrs {
+		out[netaddr.Addr(u&mask).Block(n)]++
+	}
 	return out
 }
 

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-
-	"unclean/internal/netaddr"
 )
 
 // Binary set format: sorted sets compress extremely well as
@@ -32,18 +30,12 @@ func (s Set) WriteBinary(w io.Writer) error {
 		return err
 	}
 	prev := int64(-1)
-	var werr error
-	s.Each(func(a netaddr.Addr) bool {
-		delta := int64(uint32(a)) - prev
-		n := binary.PutUvarint(buf[:], uint64(delta))
-		if _, werr = bw.Write(buf[:n]); werr != nil {
-			return false
+	for _, u := range s.addrs {
+		n := binary.PutUvarint(buf[:], uint64(int64(u)-prev))
+		if _, err := bw.Write(buf[:n]); err != nil {
+			return err
 		}
-		prev = int64(uint32(a))
-		return true
-	})
-	if werr != nil {
-		return werr
+		prev = int64(u)
 	}
 	return bw.Flush()
 }
@@ -51,8 +43,7 @@ func (s Set) WriteBinary(w io.Writer) error {
 // ReadBinary parses a set written by WriteBinary or WriteBinaryV2,
 // dispatching on the magic. v1 images are validated element-wise
 // (monotonicity, address-space bounds); v2 images are CRC-checked and
-// structurally validated, and load straight into the compressed
-// representation.
+// structurally validated, then decoded.
 func ReadBinary(r io.Reader) (Set, error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
@@ -67,7 +58,11 @@ func ReadBinary(r io.Reader) (Set, error) {
 		data := make([]byte, 0, 8+len(rest))
 		data = append(data, magic[:]...)
 		data = append(data, rest...)
-		return parseV2(data, true)
+		im, err := parseV2(data, true)
+		if err != nil {
+			return Set{}, err
+		}
+		return im.Set(), nil
 	}
 	if magic != codecMagic {
 		return Set{}, fmt.Errorf("ipset: bad magic %q", magic[:])

@@ -2,6 +2,8 @@ package ipset
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"unclean/internal/netaddr"
@@ -9,8 +11,10 @@ import (
 )
 
 // Shaped fixtures: each generator produces a membership that lands in a
-// different container mix, so every differential test below exercises
-// array, bitmap, and run containers plus their cross products.
+// different container mix of the v2 image, so the tests below exercise
+// array, bitmap, and run containers plus their cross products. The
+// TestCompressed* tests run their queries on sets decoded from that
+// image and check them against naive map or masked-set oracles.
 
 type setShape struct {
 	name string
@@ -121,61 +125,78 @@ func sameAddrs(t *testing.T, label string, got, want Set) {
 	}
 }
 
-// TestCompressRoundTrip proves Compress/Decompress are lossless and that
-// the basic accessors agree across representations for every shape.
+// imageOf encodes s as a v2 image and parses it back into an Image
+// (copying the payloads out, as a non-mmap reader does).
+func imageOf(t *testing.T, s Set) Image {
+	t.Helper()
+	im, err := parseV2(writeV2(t, s), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return im
+}
+
+// viaImage round-trips s through its v2 image.
+func viaImage(t *testing.T, s Set) Set {
+	t.Helper()
+	return imageOf(t, s).Set()
+}
+
+// memberMap is the membership oracle: a hash set of the addresses.
+func memberMap(s Set) map[uint32]bool {
+	m := make(map[uint32]bool, s.Len())
+	s.Each(func(a netaddr.Addr) bool {
+		m[uint32(a)] = true
+		return true
+	})
+	return m
+}
+
+// TestCompressRoundTrip proves the v2 image is lossless for every shape:
+// the Image reports the set's size, decodes to the same membership, and
+// the decoded set's accessors agree with the original's.
 func TestCompressRoundTrip(t *testing.T) {
 	for _, shape := range shapedSets() {
 		t.Run(shape.name, func(t *testing.T) {
 			rng := stats.NewRNG(7)
 			plain := shape.gen(rng)
-			comp := plain.Compress()
-			if plain.Len() > 0 && !comp.IsCompressed() {
-				t.Fatalf("Compress did not compress")
+			im := imageOf(t, plain)
+			if im.Len() != plain.Len() {
+				t.Fatalf("Image.Len: got %d, want %d", im.Len(), plain.Len())
 			}
-			if comp.Len() != plain.Len() {
-				t.Fatalf("Len: got %d, want %d", comp.Len(), plain.Len())
-			}
-			sameAddrs(t, "roundtrip", comp.Decompress(), plain)
-			sameAddrs(t, "each", comp, plain)
+			back := im.Set()
+			sameAddrs(t, "roundtrip", back, plain)
 			for i := 0; i < plain.Len(); i += 1 + plain.Len()/64 {
-				if comp.At(i) != plain.At(i) {
-					t.Fatalf("At(%d): got %v, want %v", i, comp.At(i), plain.At(i))
+				if back.At(i) != plain.At(i) {
+					t.Fatalf("At(%d): got %v, want %v", i, back.At(i), plain.At(i))
 				}
 			}
-			if plain.Len() > 0 && comp.String() != plain.String() {
-				t.Fatalf("String: got %q, want %q", comp.String(), plain.String())
+			if back.String() != plain.String() {
+				t.Fatalf("String: got %q, want %q", back.String(), plain.String())
 			}
 		})
 	}
 }
 
-// TestCompressedContains checks membership for members, non-members, and
-// near-miss neighbours of members.
+// TestCompressedContains checks membership for members, random probes,
+// and near-miss neighbours of members (container and word edges).
 func TestCompressedContains(t *testing.T) {
 	for _, shape := range shapedSets() {
 		t.Run(shape.name, func(t *testing.T) {
 			rng := stats.NewRNG(11)
-			plain := shape.gen(rng)
-			comp := plain.Compress()
-			plain.Each(func(a netaddr.Addr) bool {
-				if !comp.Contains(a) {
-					t.Fatalf("member %v missing from compressed set", a)
-				}
-				return true
-			})
-			for i := 0; i < 5000; i++ {
-				a := netaddr.Addr(rng.Uint32())
-				if comp.Contains(a) != plain.Contains(a) {
-					t.Fatalf("Contains(%v) disagrees", a)
+			s := viaImage(t, shape.gen(rng))
+			want := memberMap(s)
+			probe := func(a netaddr.Addr) {
+				if s.Contains(a) != want[uint32(a)] {
+					t.Fatalf("Contains(%v) = %v, oracle says %v", a, s.Contains(a), want[uint32(a)])
 				}
 			}
-			// Neighbours of members probe container edges.
-			plain.Each(func(a netaddr.Addr) bool {
-				for _, d := range []uint32{1, 0xffff} {
-					n := netaddr.Addr(uint32(a) + d)
-					if comp.Contains(n) != plain.Contains(n) {
-						t.Fatalf("Contains(%v) disagrees near member %v", n, a)
-					}
+			for i := 0; i < 5000; i++ {
+				probe(netaddr.Addr(rng.Uint32()))
+			}
+			s.Each(func(a netaddr.Addr) bool {
+				for _, d := range []uint32{0, 1, 0xffff, ^uint32(0)} {
+					probe(netaddr.Addr(uint32(a) + d))
 				}
 				return true
 			})
@@ -184,8 +205,8 @@ func TestCompressedContains(t *testing.T) {
 }
 
 // TestCompressedAlgebraDifferential runs Union/Intersect/Difference over
-// every ordered pair of shapes, in every representation mix, and demands
-// element-wise identity with the plain sorted-merge results.
+// every ordered pair of shapes and demands element-wise identity with a
+// hash-set oracle.
 func TestCompressedAlgebraDifferential(t *testing.T) {
 	shapes := shapedSets()
 	for _, sa := range shapes {
@@ -196,45 +217,57 @@ func TestCompressedAlgebraDifferential(t *testing.T) {
 				// Overlap the operands so intersections are non-trivial:
 				// push half of a into b.
 				b = b.Union(a.Sample(a.Len()/2, rng))
-				wantU := a.Union(b)
-				wantI := a.Intersect(b)
-				wantD := a.Difference(b)
-				ca, cb := a.Compress(), b.Compress()
-				mixes := []struct {
-					name string
-					x, y Set
-				}{
-					{"comp-comp", ca, cb},
-					{"comp-plain", ca, b},
-					{"plain-comp", a, cb},
+				a, b = viaImage(t, a), viaImage(t, b)
+				ma, mb := memberMap(a), memberMap(b)
+				var u, x, d []uint32
+				for v := range ma {
+					u = append(u, v)
+					if mb[v] {
+						x = append(x, v)
+					} else {
+						d = append(d, v)
+					}
 				}
-				for _, m := range mixes {
-					sameAddrs(t, m.name+" union", m.x.Union(m.y), wantU)
-					sameAddrs(t, m.name+" intersect", m.x.Intersect(m.y), wantI)
-					sameAddrs(t, m.name+" difference", m.x.Difference(m.y), wantD)
+				for v := range mb {
+					if !ma[v] {
+						u = append(u, v)
+					}
 				}
+				sameAddrs(t, "union", a.Union(b), FromUint32s(u))
+				sameAddrs(t, "intersect", a.Intersect(b), FromUint32s(x))
+				sameAddrs(t, "difference", a.Difference(b), FromUint32s(d))
 			})
 		}
 	}
 }
 
-// TestCompressedBlockCountsDifferential checks |C_n| and the count vector
-// across all prefix lengths for every shape.
+// TestCompressedBlockCountsDifferential checks that the Image reads
+// |C_n| off container metadata exactly as Set.BlockCount and
+// Set.BlockCounts compute it, for every n in [0,32] and every container
+// mix, and that both match a masked hash-set oracle.
 func TestCompressedBlockCountsDifferential(t *testing.T) {
 	for _, shape := range shapedSets() {
 		t.Run(shape.name, func(t *testing.T) {
 			rng := stats.NewRNG(17)
 			plain := shape.gen(rng)
-			comp := plain.Compress()
+			im := imageOf(t, plain)
+			counts := plain.BlockCounts(0, 32)
 			for n := 0; n <= 32; n++ {
-				if got, want := comp.BlockCount(n), plain.BlockCount(n); got != want {
+				mask := maskFor(n)
+				blocks := map[uint32]bool{}
+				plain.Each(func(a netaddr.Addr) bool {
+					blocks[uint32(a)&mask] = true
+					return true
+				})
+				want := len(blocks)
+				if got := im.BlockCount(n); got != want {
+					t.Fatalf("Image.BlockCount(%d): got %d, want %d", n, got, want)
+				}
+				if got := plain.BlockCount(n); got != want {
 					t.Fatalf("BlockCount(%d): got %d, want %d", n, got, want)
 				}
-			}
-			gc, pc := comp.BlockCounts(0, 32), plain.BlockCounts(0, 32)
-			for i := range gc {
-				if gc[i] != pc[i] {
-					t.Fatalf("BlockCounts[%d]: got %d, want %d", i, gc[i], pc[i])
+				if counts[n] != want {
+					t.Fatalf("BlockCounts[%d]: got %d, want %d", n, counts[n], want)
 				}
 			}
 		})
@@ -242,7 +275,8 @@ func TestCompressedBlockCountsDifferential(t *testing.T) {
 }
 
 // TestCompressedBlockIntersectDifferential checks |C_n(A) ∩ C_n(B)| for
-// all prefix lengths across shape pairs and representation mixes.
+// all prefix lengths across shape pairs against the intersection of the
+// two masked sets.
 func TestCompressedBlockIntersectDifferential(t *testing.T) {
 	shapes := shapedSets()
 	for _, sa := range shapes {
@@ -251,17 +285,11 @@ func TestCompressedBlockIntersectDifferential(t *testing.T) {
 				rng := stats.NewRNG(19)
 				a, b := sa.gen(rng), sb.gen(rng)
 				b = b.Union(a.Sample(a.Len()/2, rng))
-				ca, cb := a.Compress(), b.Compress()
+				a, b = viaImage(t, a), viaImage(t, b)
 				for n := 0; n <= 32; n++ {
-					want := a.BlockIntersectCount(b, n)
-					if got := ca.BlockIntersectCount(cb, n); got != want {
-						t.Fatalf("comp-comp BlockIntersectCount(%d): got %d, want %d", n, got, want)
-					}
-					if got := ca.BlockIntersectCount(b, n); got != want {
-						t.Fatalf("comp-plain BlockIntersectCount(%d): got %d, want %d", n, got, want)
-					}
-					if got := a.BlockIntersectCount(cb, n); got != want {
-						t.Fatalf("plain-comp BlockIntersectCount(%d): got %d, want %d", n, got, want)
+					want := a.MaskedSet(n).Intersect(b.MaskedSet(n)).Len()
+					if got := a.BlockIntersectCount(b, n); got != want {
+						t.Fatalf("BlockIntersectCount(%d): got %d, want %d", n, got, want)
 					}
 				}
 			})
@@ -275,19 +303,19 @@ func TestCompressedInBlocksDifferential(t *testing.T) {
 	for _, shape := range shapedSets() {
 		t.Run(shape.name, func(t *testing.T) {
 			rng := stats.NewRNG(23)
-			plain := shape.gen(rng)
-			comp := plain.Compress()
+			s := viaImage(t, shape.gen(rng))
 			probes := make([]netaddr.Addr, 0, 256)
-			plain.Each(func(a netaddr.Addr) bool {
+			s.Each(func(a netaddr.Addr) bool {
 				probes = append(probes, a, netaddr.Addr(uint32(a)+1), netaddr.Addr(uint32(a)^0x100))
 				return len(probes) < 192
 			})
 			for i := 0; i < 64; i++ {
 				probes = append(probes, netaddr.Addr(rng.Uint32()))
 			}
-			for _, a := range probes {
-				for n := 0; n <= 32; n += 1 {
-					if got, want := comp.InBlocks(a, n), plain.InBlocks(a, n); got != want {
+			for n := 0; n <= 32; n++ {
+				blocks := memberMap(s.MaskedSet(n))
+				for _, a := range probes {
+					if got, want := s.InBlocks(a, n), blocks[uint32(a)&maskFor(n)]; got != want {
 						t.Fatalf("InBlocks(%v, %d): got %v, want %v", a, n, got, want)
 					}
 				}
@@ -296,115 +324,141 @@ func TestCompressedInBlocksDifferential(t *testing.T) {
 	}
 }
 
-// TestCompressedSampleIdentical proves a seeded Sample returns exactly
-// the same subset from both representations — the compressed path samples
-// ranks with the identical generator stream and select-walks them to
-// members.
+// TestCompressedSampleIdentical pins Sample against the original
+// map/permutation implementation on every shape: the same subset and
+// the same generator consumption.
 func TestCompressedSampleIdentical(t *testing.T) {
 	for _, shape := range shapedSets() {
 		t.Run(shape.name, func(t *testing.T) {
 			rng := stats.NewRNG(29)
-			plain := shape.gen(rng)
-			comp := plain.Compress()
-			n := plain.Len()
+			s := viaImage(t, shape.gen(rng))
+			n := s.Len()
 			for _, k := range []int{0, 1, n / 100, n / 16, n / 3, n / 2, n - 1, n} {
 				if k < 0 || k > n {
 					continue
 				}
-				// Both draws must consume the same stream: fork one seed.
 				seed := rng.Uint64()
-				sp := plain.Sample(k, stats.NewRNG(seed))
-				sc := comp.Sample(k, stats.NewRNG(seed))
-				sameAddrs(t, "sample", sc, sp)
+				ra, rb := stats.NewRNG(seed), stats.NewRNG(seed)
+				sameAddrs(t, fmt.Sprintf("sample k=%d", k), s.Sample(k, ra), referenceSample(s, k, rb))
+				if ra.Uint64() != rb.Uint64() {
+					t.Fatalf("k=%d: rng consumption differs from the reference", k)
+				}
 			}
 		})
 	}
 }
 
-// TestCompressedSampleBlocksIdentical proves the Monte-Carlo draw kernels
-// return bit-identical distributions when fed a compressed set.
+// TestCompressedSampleBlocksIdentical proves the concurrent Monte-Carlo
+// draw kernels return, draw for draw, what a sequential Sample followed
+// by BlockCounts (or a masked-set intersection) returns under the same
+// per-draw generator forks.
 func TestCompressedSampleBlocksIdentical(t *testing.T) {
 	rng := stats.NewRNG(31)
-	plain := randomSet(rng, 30000)
-	comp := plain.Compress()
-	target := plain.Sample(5000, rng)
+	control := viaImage(t, randomSet(rng, 30000))
+	target := viaImage(t, control.Sample(5000, rng))
 	seed := rng.Uint64()
+	const draws, size, lo, hi = 50, 2000, 8, 24
 
-	wantB := plain.SampleBlocks(50, 2000, 8, 24, stats.NewRNG(seed))
-	gotB := comp.SampleBlocks(50, 2000, 8, 24, stats.NewRNG(seed))
-	for i := range wantB {
-		for j := range wantB[i] {
-			if gotB[i][j] != wantB[i][j] {
-				t.Fatalf("SampleBlocks[%d][%d]: got %v, want %v", i, j, gotB[i][j], wantB[i][j])
+	gotB := control.SampleBlocks(draws, size, lo, hi, stats.NewRNG(seed))
+	gotI := control.SampleIntersections(target, draws, size, lo, hi, stats.NewRNG(seed))
+	parent := stats.NewRNG(seed)
+	for d := 0; d < draws; d++ {
+		sub := control.Sample(size, parent.Fork(uint64(d)))
+		counts := sub.BlockCounts(lo, hi)
+		for n := lo; n <= hi; n++ {
+			if got, want := gotB[n-lo][d], float64(counts[n-lo]); got != want {
+				t.Fatalf("SampleBlocks draw %d /%d: got %v, want %v", d, n, got, want)
 			}
-		}
-	}
-
-	wantI := plain.SampleIntersections(target, 50, 2000, 8, 24, stats.NewRNG(seed))
-	gotI := comp.SampleIntersections(target.Compress(), 50, 2000, 8, 24, stats.NewRNG(seed))
-	for i := range wantI {
-		for j := range wantI[i] {
-			if gotI[i][j] != wantI[i][j] {
-				t.Fatalf("SampleIntersections[%d][%d]: got %v, want %v", i, j, gotI[i][j], wantI[i][j])
+			want := float64(sub.MaskedSet(n).Intersect(target.MaskedSet(n)).Len())
+			if got := gotI[n-lo][d]; got != want {
+				t.Fatalf("SampleIntersections draw %d /%d: got %v, want %v", d, n, got, want)
 			}
 		}
 	}
 }
 
-// TestCompressedCodecIdentical proves WriteBinary emits byte-identical v1
-// encodings from both representations, and that a decoded set equals the
-// compressed original.
+// goldenV2 holds the SHA-256 of each shape's v2 image (seed 37). The
+// container choice and layout are a file format: a change here means
+// images written before it no longer compare byte for byte.
+var goldenV2 = map[string]string{
+	"empty":     "a2118a3bd59ede41ec748f34df17b4107abd5ef1aea0fdb664ac01d52a5b65fc",
+	"single":    "6e7daa5ae25c52ba0f2c094ce09f8c403f0dfe41db1743ab955f047e50be8fd4",
+	"sparse":    "3fb6bd384e9dbc3661e023414f8f8e1a930eb116c6ce85d3463d4de8f8878068",
+	"clustered": "8879b98d3f64ca11b300ece16423363cec66068b5b96d5b81190774157e9258d",
+	"dense":     "edc288c51c66fab234ccf2fefb3b0d548441a6a0000a5eac587621cc9cbb9933",
+	"runs":      "05f8673514e54c3e6e24f9d8b7df6427b89096f94f07f771d7abc319c7252aed",
+	"full16":    "cae2e81192b986621fcd621af4b6602950e5923f5daf2c5102b2ddd3ab75cd0a",
+	"mixed":     "6f89453ca9998332c034a961214af0510551900bda26b2f53fd24b8505eda632",
+	"edges":     "8af67eb06054b07710638d9d466c057cc1b0c91097958bf83ff574d6960b6fb8",
+}
+
+// TestCompressedCodecIdentical pins the v2 writer's output to golden
+// digests, and proves both writers re-encode a decoded set byte for
+// byte.
 func TestCompressedCodecIdentical(t *testing.T) {
 	for _, shape := range shapedSets() {
 		t.Run(shape.name, func(t *testing.T) {
 			rng := stats.NewRNG(37)
 			plain := shape.gen(rng)
-			comp := plain.Compress()
-			var bp, bc bytes.Buffer
-			if err := plain.WriteBinary(&bp); err != nil {
-				t.Fatal(err)
+			v2 := writeV2(t, plain)
+			if got := fmt.Sprintf("%x", sha256.Sum256(v2)); got != goldenV2[shape.name] {
+				t.Fatalf("v2 image digest %s, want %s", got, goldenV2[shape.name])
 			}
-			if err := comp.WriteBinary(&bc); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(bp.Bytes(), bc.Bytes()) {
-				t.Fatalf("WriteBinary bytes differ between representations")
-			}
-			back, err := ReadBinary(&bc)
+			back, err := ReadBinary(bytes.NewReader(v2))
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameAddrs(t, "decode", back, plain)
+			if !bytes.Equal(writeV2(t, back), v2) {
+				t.Fatal("v2 re-encoding of a decoded set differs")
+			}
+			var v1, re bytes.Buffer
+			if err := plain.WriteBinary(&v1); err != nil {
+				t.Fatal(err)
+			}
+			if err := back.WriteBinary(&re); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(v1.Bytes(), re.Bytes()) {
+				t.Fatal("v1 encoding of a v2-decoded set differs")
+			}
 		})
 	}
 }
 
-// TestCompressedMaskedSetAndBlocks checks the block materializers built
-// on Each.
+// TestCompressedMaskedSetAndBlocks checks the block materializers
+// against a masked hash-set oracle and against each other.
 func TestCompressedMaskedSetAndBlocks(t *testing.T) {
 	for _, shape := range shapedSets() {
 		t.Run(shape.name, func(t *testing.T) {
 			rng := stats.NewRNG(41)
-			plain := shape.gen(rng)
-			comp := plain.Compress()
+			s := viaImage(t, shape.gen(rng))
 			for _, n := range []int{0, 8, 12, 16, 20, 24, 30, 32} {
-				sameAddrs(t, "masked", comp.MaskedSet(n), plain.MaskedSet(n))
-				gb, pb := comp.Blocks(n), plain.Blocks(n)
-				if len(gb) != len(pb) {
-					t.Fatalf("Blocks(%d): got %d blocks, want %d", n, len(gb), len(pb))
+				mask := maskFor(n)
+				pops := map[uint32]int{}
+				var bases []uint32
+				s.Each(func(a netaddr.Addr) bool {
+					pops[uint32(a)&mask]++
+					bases = append(bases, uint32(a)&mask)
+					return true
+				})
+				masked := s.MaskedSet(n)
+				sameAddrs(t, "masked", masked, FromUint32s(bases))
+				blocks := s.Blocks(n)
+				if len(blocks) != masked.Len() {
+					t.Fatalf("Blocks(%d): got %d blocks, want %d", n, len(blocks), masked.Len())
 				}
-				for i := range gb {
-					if gb[i] != pb[i] {
-						t.Fatalf("Blocks(%d)[%d]: got %v, want %v", n, i, gb[i], pb[i])
+				for i, b := range blocks {
+					if b != masked.At(i).Block(n) {
+						t.Fatalf("Blocks(%d)[%d]: got %v, want %v", n, i, b, masked.At(i).Block(n))
 					}
 				}
-				gp, pp := comp.BlockPopulations(n), plain.BlockPopulations(n)
-				if len(gp) != len(pp) {
-					t.Fatalf("BlockPopulations(%d): size mismatch", n)
+				gp := s.BlockPopulations(n)
+				if len(gp) != len(pops) {
+					t.Fatalf("BlockPopulations(%d): %d blocks, want %d", n, len(gp), len(pops))
 				}
-				for k, v := range pp {
-					if gp[k] != v {
-						t.Fatalf("BlockPopulations(%d)[%v]: got %d, want %d", n, k, gp[k], v)
+				for base, c := range pops {
+					if b := netaddr.Addr(base).Block(n); gp[b] != c {
+						t.Fatalf("BlockPopulations(%d)[%v]: got %d, want %d", n, b, gp[b], c)
 					}
 				}
 			}
@@ -412,35 +466,36 @@ func TestCompressedMaskedSetAndBlocks(t *testing.T) {
 	}
 }
 
-// TestCompressedWithinBlocks checks the candidate-population materializer
-// across representation mixes.
+// TestCompressedWithinBlocks checks the candidate-population
+// materializer against a masked hash-set oracle.
 func TestCompressedWithinBlocks(t *testing.T) {
 	rng := stats.NewRNG(43)
-	s := randomSet(rng, 20000)
-	cover := s.Sample(500, rng)
+	s := viaImage(t, randomSet(rng, 20000))
+	cover := viaImage(t, s.Sample(500, rng))
 	for _, n := range []int{8, 16, 20, 24} {
-		want := s.WithinBlocks(cover, n)
-		sameAddrs(t, "cc", s.Compress().WithinBlocks(cover.Compress(), n), want)
-		sameAddrs(t, "cp", s.Compress().WithinBlocks(cover, n), want)
-		sameAddrs(t, "pc", s.WithinBlocks(cover.Compress(), n), want)
+		mask := maskFor(n)
+		covered := memberMap(cover.MaskedSet(n))
+		want := s.Filter(func(a netaddr.Addr) bool { return covered[uint32(a)&mask] })
+		sameAddrs(t, fmt.Sprintf("/%d", n), s.WithinBlocks(cover, n), want)
 	}
 }
 
-// TestContainerKinds pins the canonical kind choices: sparse /16s become
-// arrays, dense ones bitmaps, CIDR-complete ones runs.
+// TestContainerKinds pins the canonical kind choices of the image:
+// sparse /16s become arrays, dense ones bitmaps, CIDR-complete ones
+// runs.
 func TestContainerKinds(t *testing.T) {
-	kindOf := func(s Set) uint8 {
-		cs := s.Compress().comp
-		if len(cs.cs) != 1 {
-			t.Fatalf("want one container, got %d", len(cs.cs))
+	onlyCtr := func(s Set) ctr {
+		im := imageOf(t, s)
+		if len(im.cs) != 1 {
+			t.Fatalf("want one container, got %d", len(im.cs))
 		}
-		return cs.cs[0].kind
+		return im.cs[0]
 	}
 	sparse := make([]uint32, 0, 100)
 	for i := uint32(0); i < 100; i++ {
 		sparse = append(sparse, 0x0a000000|i*571)
 	}
-	if k := kindOf(FromUint32s(sparse)); k != arrKind {
+	if k := onlyCtr(FromUint32s(sparse)).kind; k != arrKind {
 		t.Fatalf("sparse: kind %d, want array", k)
 	}
 	rng := stats.NewRNG(47)
@@ -448,26 +503,22 @@ func TestContainerKinds(t *testing.T) {
 	for i := 0; i < 3*arrMaxCard; i++ {
 		dense = append(dense, 0x0a000000|rng.Uint32()&0xffff)
 	}
-	if k := kindOf(FromUint32s(dense)); k != bmpKind {
+	if k := onlyCtr(FromUint32s(dense)).kind; k != bmpKind {
 		t.Fatalf("dense: kind %d, want bitmap", k)
 	}
 	run := make([]uint32, 0, 1<<16)
 	for i := uint32(0); i < 1<<16; i++ {
 		run = append(run, 0x0a000000|i)
 	}
-	full := FromUint32s(run)
-	if k := kindOf(full); k != runKind {
-		t.Fatalf("full /16: kind %d, want run", k)
-	}
-	// The whole /16 as one run costs 4 bytes of payload vs 256 KiB raw.
-	if fp, raw := full.Compress().FootprintBytes(), full.FootprintBytes(); fp*100 > raw {
-		t.Fatalf("full /16 footprint %d not ≪ raw %d", fp, raw)
+	// The whole /16 is one run: a 4-byte payload for 256 KiB of raw
+	// addresses.
+	if c := onlyCtr(FromUint32s(run)); c.kind != runKind || len(c.arr) != 2 {
+		t.Fatalf("full /16: kind %d with %d values, want one run", c.kind, len(c.arr))
 	}
 }
 
-// TestCompressFootprint checks the representation actually shrinks a
-// clustered membership (the reason it exists) and reports honestly for
-// adversarially sparse ones.
+// TestCompressFootprint checks the image actually shrinks a clustered
+// membership, the reason the v2 format uses containers.
 func TestCompressFootprint(t *testing.T) {
 	rng := stats.NewRNG(53)
 	// Clustered like unclean space: 64 /16s holding ~8k addrs each.
@@ -479,64 +530,41 @@ func TestCompressFootprint(t *testing.T) {
 		}
 	}
 	s := b.Build()
-	raw, comp := s.FootprintBytes(), s.Compress().FootprintBytes()
-	if comp >= raw {
-		t.Fatalf("clustered footprint did not shrink: %d >= %d", comp, raw)
+	if img, raw := len(writeV2(t, s)), 4*s.Len(); img >= raw {
+		t.Fatalf("clustered image did not shrink: %d >= %d bytes", img, raw)
 	}
 }
 
-// TestEqualMixedRepresentations exercises Equal across every pairing of
-// representations, including near-miss memberships.
+// TestEqualMixedRepresentations exercises Equal across sets that reach
+// the same membership by different routes (built, v1- and v2-decoded,
+// empty in every form) and against near-miss memberships.
 func TestEqualMixedRepresentations(t *testing.T) {
 	rng := stats.NewRNG(59)
 	s := randomSet(rng, 10000)
-	c := s.Compress()
-	if !s.Equal(c) || !c.Equal(s) || !c.Equal(c) {
+	var v1 bytes.Buffer
+	if err := s.WriteBinary(&v1); err != nil {
+		t.Fatal(err)
+	}
+	from1, err := ReadBinary(&v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from2 := viaImage(t, s)
+	if !s.Equal(from1) || !from1.Equal(from2) || !from2.Equal(s) {
 		t.Fatal("identical memberships compare unequal")
 	}
 	// Flip one member.
 	mod := s.Difference(FromAddrs([]netaddr.Addr{s.At(s.Len() / 2)}))
-	mod = mod.Union(FromUint32s([]uint32{uint32(s.At(s.Len()/2)) ^ 1}))
-	md := mod.Decompress()
-	if s.Equal(md) || c.Equal(md) || md.Equal(c) || c.Equal(mod) {
+	mod = viaImage(t, mod.Union(FromUint32s([]uint32{uint32(s.At(s.Len()/2)) ^ 1})))
+	if s.Equal(mod) || mod.Equal(from2) {
 		t.Fatal("different memberships compare equal")
 	}
-}
-
-// TestBuilderSortedFastPath checks Build returns identical sets with and
-// without the sorted fast path, including the AddSet append pattern the
-// evaluator's compact() uses.
-func TestBuilderSortedFastPath(t *testing.T) {
-	rng := stats.NewRNG(61)
-	base := randomSet(rng, 5000)
-	// Sorted input: AddSet then in-order Adds.
-	b := NewBuilder(0)
-	b.Grow(base.Len() + 10)
-	b.AddSet(base)
-	if !b.sorted {
-		t.Fatal("AddSet of a sorted set should keep the builder sorted")
+	empties := []Set{{}, FromUint32s(nil), NewBuilder(4).Build(), viaImage(t, Set{}), s.Intersect(Set{})}
+	for i, a := range empties {
+		for j, b := range empties {
+			if !a.Equal(b) {
+				t.Fatalf("empty sets %d and %d compare unequal", i, j)
+			}
+		}
 	}
-	last := uint32(base.At(base.Len() - 1))
-	for i := uint32(1); i <= 10; i++ {
-		b.Add(netaddr.Addr(last + i))
-	}
-	if !b.sorted {
-		t.Fatal("in-order Adds should keep the builder sorted")
-	}
-	got := b.Build()
-	// Reference: same membership built out of order.
-	b2 := NewBuilder(0)
-	for i := uint32(10); i >= 1; i-- {
-		b2.Add(netaddr.Addr(last + i))
-	}
-	b2.AddSet(base)
-	if b2.sorted {
-		t.Fatal("out-of-order input should clear the sorted flag")
-	}
-	sameAddrs(t, "fastpath", got, b2.Build())
-
-	// AddSet of a compressed set takes the appendAddrs path.
-	b3 := NewBuilder(0)
-	b3.AddSet(base.Compress())
-	sameAddrs(t, "addset-compressed", b3.Build(), base)
 }

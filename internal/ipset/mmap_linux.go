@@ -9,14 +9,14 @@ import (
 	"syscall"
 )
 
-// OpenMapped memory-maps a v2 set file and serves the Set from the
+// OpenMapped memory-maps a v2 set file and serves its Image from the
 // mapping: container payloads alias the mapped pages directly, so
 // opening a multi-gigabyte report costs no heap and the OS pages in
 // only the /16s that queries touch. The image's CRC footer and
-// structural invariants are verified before the Set is returned (one
+// structural invariants are verified before the Image is returned (one
 // sequential read of the mapping, which the page cache retains).
 //
-// The returned Set is read-only and valid until Close.
+// The returned Image is read-only and valid until Close.
 func OpenMapped(path string) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -42,14 +42,14 @@ func OpenMapped(path string) (*Mapped, error) {
 	return &Mapped{Set: s, mapped: data}, nil
 }
 
-// Close unmaps the file. The Set (and any set aliasing its containers)
-// must not be used afterwards.
+// Close unmaps the file. The Image must not be used afterwards; Sets
+// decoded from it stay valid.
 func (m *Mapped) Close() error {
 	if m.mapped == nil {
 		return nil
 	}
 	data := m.mapped
 	m.mapped = nil
-	m.Set = Set{}
+	m.Set = Image{}
 	return syscall.Munmap(data)
 }

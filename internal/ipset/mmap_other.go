@@ -22,9 +22,9 @@ func OpenMapped(path string) (*Mapped, error) {
 	return &Mapped{Set: s}, nil
 }
 
-// Close releases the Set. Without a real mapping there is nothing to
+// Close releases the Image. Without a real mapping there is nothing to
 // unmap; the method exists so callers are portable.
 func (m *Mapped) Close() error {
-	m.Set = Set{}
+	m.Set = Image{}
 	return nil
 }

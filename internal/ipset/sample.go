@@ -25,15 +25,7 @@ func (s Set) Sample(k int, rng *stats.RNG) Set {
 	}
 	a := getArena()
 	out := make([]uint32, k)
-	if s.comp != nil {
-		// Sample ranks with the identical generator stream, then map
-		// them to members with one container select walk — the draw is
-		// container-wise, never a decompression, and seeded results
-		// match the plain representation exactly.
-		s.comp.selectInto(a.sampleSorted(n, k, nil, rng), out)
-	} else {
-		copy(out, a.sampleSorted(n, k, s.addrs, rng))
-	}
+	copy(out, a.sampleSorted(k, s.addrs, rng))
 	putArena(a)
 	return Set{addrs: out}
 }
@@ -58,11 +50,10 @@ func (s Set) SampleBlocks(k, size, loBits, hiBits int, rng *stats.RNG) [][]float
 	for i := range out {
 		out[i] = make([]float64, k)
 	}
-	addrs := s.raw() // one materialization shared by every draw
-	arenas := newArenas(stats.Workers(k), len(addrs), size, prefixes)
+	arenas := newArenas(stats.Workers(k), len(s.addrs), size, prefixes)
 	stats.ForEachDraw(k, rng, func(worker, draw int, drawRNG *stats.RNG) {
 		a := arenas[worker]
-		sub := a.sampleSorted(len(addrs), size, addrs, drawRNG)
+		sub := a.sampleSorted(size, s.addrs, drawRNG)
 		counts := a.counts[:prefixes]
 		blockCountsInto(sub, loBits, hiBits, counts)
 		for i, c := range counts {
@@ -88,13 +79,12 @@ func (s Set) SampleIntersections(target Set, k, size, loBits, hiBits int, rng *s
 	for i := range out {
 		out[i] = make([]float64, k)
 	}
-	addrs, targetAddrs := s.raw(), target.raw()
-	arenas := newArenas(stats.Workers(k), len(addrs), size, prefixes)
+	arenas := newArenas(stats.Workers(k), len(s.addrs), size, prefixes)
 	stats.ForEachDraw(k, rng, func(worker, draw int, drawRNG *stats.RNG) {
 		a := arenas[worker]
-		sub := a.sampleSorted(len(addrs), size, addrs, drawRNG)
+		sub := a.sampleSorted(size, s.addrs, drawRNG)
 		counts := a.counts[:prefixes]
-		blockIntersectCountsInto(sub, targetAddrs, loBits, hiBits, counts)
+		blockIntersectCountsInto(sub, target.addrs, loBits, hiBits, counts)
 		for i, c := range counts {
 			out[i][draw] = float64(c)
 		}

@@ -180,27 +180,20 @@ func referenceSample(s Set, k int, rng *stats.RNG) Set {
 
 // TestSampleMatchesReference pins both sampler branches against the
 // original implementation: identical sets AND identical rng consumption
-// (checked by comparing the next parent draw). Each population is drawn
-// from in both representations, so the compressed rank drain is pinned
-// as well as the plain address gather.
+// (checked by comparing the next parent draw).
 func TestSampleMatchesReference(t *testing.T) {
-	// check draws k from pop in both representations and compares each
-	// draw, and the next parent draw, with the reference's.
+	// check draws k from pop and compares the draw, and the next parent
+	// draw, with the reference's.
 	check := func(t *testing.T, pop Set, k int) {
 		t.Helper()
-		for _, rep := range []struct {
-			name string
-			s    Set
-		}{{"plain", pop}, {"compressed", pop.Compress()}} {
-			ra, rb := stats.NewRNG(4242), stats.NewRNG(4242)
-			got := rep.s.Sample(k, ra)
-			want := referenceSample(pop, k, rb)
-			if !got.Equal(want) {
-				t.Fatalf("%s k=%d: sample differs from reference implementation", rep.name, k)
-			}
-			if ra.Uint64() != rb.Uint64() {
-				t.Fatalf("%s k=%d: rng consumption differs from reference implementation", rep.name, k)
-			}
+		ra, rb := stats.NewRNG(4242), stats.NewRNG(4242)
+		got := pop.Sample(k, ra)
+		want := referenceSample(pop, k, rb)
+		if !got.Equal(want) {
+			t.Fatalf("k=%d: sample differs from reference implementation", k)
+		}
+		if ra.Uint64() != rb.Uint64() {
+			t.Fatalf("k=%d: rng consumption differs from reference implementation", k)
 		}
 	}
 
@@ -258,30 +251,22 @@ func TestSampleMatchesReference(t *testing.T) {
 
 	// One arena drawing at a large n and then at smaller ones: bits a
 	// large draw left behind, or words past the smaller n, would show up
-	// as extra or wrong members. The population 0..n-1 holds each rank
-	// as its own address, so the rank drain is checked against the same
-	// reference.
+	// as extra or wrong members.
 	t.Run("arena-reuse", func(t *testing.T) {
 		a := new(sampleArena)
 		for i, c := range []struct{ n, k int }{
 			{70001, 60000}, {70001, 4000}, {5000, 4000}, {4097, 200}, {65, 64}, {64, 3}, {100, 99},
 		} {
-			ranks := make([]uint32, c.n)
-			for r := range ranks {
-				ranks[r] = uint32(r)
+			pop := randomSet(stats.NewRNG(uint64(6000+i)), c.n)
+			seed := uint64(5000 + i)
+			ra, rb := stats.NewRNG(seed), stats.NewRNG(seed)
+			got := FromUint32s(a.sampleSorted(c.k, pop.addrs, ra))
+			want := referenceSample(pop, c.k, rb)
+			if !got.Equal(want) {
+				t.Fatalf("n=%d k=%d: sample differs from reference", c.n, c.k)
 			}
-			pop := FromUint32s(ranks)
-			for _, addrs := range [][]uint32{nil, ranks} {
-				seed := uint64(5000 + i)
-				ra, rb := stats.NewRNG(seed), stats.NewRNG(seed)
-				got := FromUint32s(a.sampleSorted(c.n, c.k, addrs, ra))
-				want := referenceSample(pop, c.k, rb)
-				if !got.Equal(want) {
-					t.Fatalf("n=%d k=%d gather=%v: sample differs from reference", c.n, c.k, addrs != nil)
-				}
-				if ra.Uint64() != rb.Uint64() {
-					t.Fatalf("n=%d k=%d gather=%v: rng consumption differs from reference", c.n, c.k, addrs != nil)
-				}
+			if ra.Uint64() != rb.Uint64() {
+				t.Fatalf("n=%d k=%d: rng consumption differs from reference", c.n, c.k)
 			}
 		}
 		for i, w := range a.chosen {

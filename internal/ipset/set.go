@@ -1,16 +1,14 @@
 // Package ipset implements immutable, sorted sets of IPv4 addresses and the
 // per-prefix CIDR block arithmetic the uncleanliness analyses are built on.
 //
-// A Set stores addresses in one of two representations: a sorted,
-// deduplicated []uint32 (the default), or roaring-style compressed
-// containers keyed by the high 16 bits (see container.go) for the
-// paper-scale report sets, where 47M raw uint32s would cost ~188 MB.
-// Every analysis in the paper reduces to a handful of primitives on
-// these sets: cardinality (|S|), the CIDR masking function C_n(S),
-// block counting |C_n(S)|, block intersection |C_n(A) ∩ C_n(B)|, the
-// inclusion relation i ⊏ S, and random sampling for control subsets.
-// Both representations answer all of them with identical results; the
-// compressed one never decompresses wholesale to do so.
+// A Set is a sorted, deduplicated []uint32. Every analysis in the paper
+// reduces to a handful of primitives on these sets: cardinality (|S|),
+// the CIDR masking function C_n(S), block counting |C_n(S)|, block
+// intersection |C_n(A) ∩ C_n(B)|, the inclusion relation i ⊏ S, and
+// random sampling for control subsets. Sets persist in two binary
+// formats: v1, delta-encoded varints (codec.go), and v2, a roaring-style
+// container image (container.go, codecv2.go) that OpenMapped serves
+// from a memory mapping as a read-only Image.
 package ipset
 
 import (
@@ -25,8 +23,7 @@ import (
 // Set is an immutable sorted set of IPv4 addresses. The zero value is the
 // empty set and is ready to use.
 type Set struct {
-	addrs []uint32    // sorted ascending, no duplicates; nil when compressed
-	comp  *containers // compressed representation; nil when plain
+	addrs []uint32 // sorted ascending, no duplicates
 }
 
 // FromAddrs builds a Set from addresses in any order, deduplicating.
@@ -96,81 +93,24 @@ func MustParse(s string) Set {
 	return set
 }
 
-// Compress returns the set in the compressed container representation.
-// Membership and every operation's results are unchanged; only the
-// storage shape differs. Compressing an already-compressed set is free.
-func (s Set) Compress() Set {
-	if s.comp != nil {
-		return s
-	}
-	if len(s.addrs) == 0 {
-		return Set{}
-	}
-	return Set{comp: compressSorted(s.addrs)}
-}
-
-// Decompress returns the set in the plain sorted-slice representation.
-func (s Set) Decompress() Set {
-	if s.comp == nil {
-		return s
-	}
-	return Set{addrs: s.comp.appendAddrs(make([]uint32, 0, s.comp.n))}
-}
-
-// IsCompressed reports whether the set uses the container representation.
-func (s Set) IsCompressed() bool { return s.comp != nil }
-
-// raw returns the membership as a sorted slice: the set's own storage
-// when plain, a fresh materialization when compressed. Callers must not
-// mutate the result.
-func (s Set) raw() []uint32 {
-	if s.comp == nil {
-		return s.addrs
-	}
-	return s.comp.appendAddrs(make([]uint32, 0, s.comp.n))
-}
-
-// FootprintBytes approximates the heap bytes held by the set's own
-// storage — the number the compressed representation exists to shrink.
-func (s Set) FootprintBytes() int {
-	if s.comp != nil {
-		return s.comp.memBytes()
-	}
-	return 4 * len(s.addrs)
-}
+// Compress returns s.
+//
+// Deprecated: a Set has a single representation; the container form
+// exists only as the v2 image (WriteBinaryV2, OpenMapped). Compress
+// remains for callers written against the two-representation API.
+func (s Set) Compress() Set { return s }
 
 // Len returns |S|, the number of addresses in the set.
-func (s Set) Len() int {
-	if s.comp != nil {
-		return s.comp.n
-	}
-	return len(s.addrs)
-}
+func (s Set) Len() int { return len(s.addrs) }
 
 // IsEmpty reports whether the set has no addresses.
 func (s Set) IsEmpty() bool { return s.Len() == 0 }
 
-// At returns the i-th smallest address. On a compressed set this walks
-// the container directory (O(containers)); iterate with Each instead of
-// an indexed loop.
-func (s Set) At(i int) netaddr.Addr {
-	if s.comp != nil {
-		idx := [1]uint32{uint32(i)}
-		var out [1]uint32
-		s.comp.selectInto(idx[:], out[:])
-		return netaddr.Addr(out[0])
-	}
-	return netaddr.Addr(s.addrs[i])
-}
+// At returns the i-th smallest address.
+func (s Set) At(i int) netaddr.Addr { return netaddr.Addr(s.addrs[i]) }
 
 // Contains reports whether a is a member of the set.
 func (s Set) Contains(a netaddr.Addr) bool {
-	if s.comp != nil {
-		if i := s.comp.find(uint16(uint32(a) >> 16)); i >= 0 {
-			return s.comp.cs[i].contains(uint16(uint32(a)))
-		}
-		return false
-	}
 	_, found := slices.BinarySearch(s.addrs, uint32(a))
 	return found
 }
@@ -178,14 +118,6 @@ func (s Set) Contains(a netaddr.Addr) bool {
 // Each calls fn for every address in ascending order; it stops early if fn
 // returns false.
 func (s Set) Each(fn func(netaddr.Addr) bool) {
-	if s.comp != nil {
-		for i := range s.comp.cs {
-			if !s.comp.cs[i].each(fn) {
-				return
-			}
-		}
-		return
-	}
 	for _, u := range s.addrs {
 		if !fn(netaddr.Addr(u)) {
 			return
@@ -195,35 +127,15 @@ func (s Set) Each(fn func(netaddr.Addr) bool) {
 
 // Addrs returns a copy of the membership as a slice of addresses.
 func (s Set) Addrs() []netaddr.Addr {
-	out := make([]netaddr.Addr, 0, s.Len())
-	s.Each(func(a netaddr.Addr) bool {
-		out = append(out, a)
-		return true
-	})
+	out := make([]netaddr.Addr, len(s.addrs))
+	for i, u := range s.addrs {
+		out[i] = netaddr.Addr(u)
+	}
 	return out
 }
 
-// Equal reports whether two sets have identical membership, whatever
-// representations they use.
-func (s Set) Equal(other Set) bool {
-	switch {
-	case s.comp != nil && other.comp != nil:
-		return equalContainers(s.comp, other.comp)
-	case s.comp != nil:
-		return s.comp.equalSlice(other.addrs)
-	case other.comp != nil:
-		return other.comp.equalSlice(s.addrs)
-	}
-	if len(s.addrs) != len(other.addrs) {
-		return false
-	}
-	for i, u := range s.addrs {
-		if u != other.addrs[i] {
-			return false
-		}
-	}
-	return true
-}
+// Equal reports whether two sets have identical membership.
+func (s Set) Equal(other Set) bool { return slices.Equal(s.addrs, other.addrs) }
 
 // String renders small sets fully and large sets as a cardinality summary.
 func (s Set) String() string {
@@ -281,17 +193,12 @@ func (b *Builder) Add(a netaddr.Addr) {
 // Appending sets in ascending order (or into an empty builder) keeps
 // the builder sorted, so Build skips its sort pass entirely.
 func (b *Builder) AddSet(s Set) {
-	n := s.Len()
-	if n == 0 {
+	if len(s.addrs) == 0 {
 		return
 	}
-	b.Grow(n)
-	if b.sorted && len(b.addrs) > 0 && uint32(s.At(0)) < b.addrs[len(b.addrs)-1] {
+	b.Grow(len(s.addrs))
+	if b.sorted && len(b.addrs) > 0 && s.addrs[0] < b.addrs[len(b.addrs)-1] {
 		b.sorted = false
-	}
-	if s.comp != nil {
-		b.addrs = s.comp.appendAddrs(b.addrs)
-		return
 	}
 	b.addrs = append(b.addrs, s.addrs...)
 }
@@ -313,23 +220,8 @@ func (b *Builder) Build() Set {
 	return s
 }
 
-// Union returns s ∪ other. If either side is compressed the result is
-// compressed and computed container-wise.
+// Union returns s ∪ other.
 func (s Set) Union(other Set) Set {
-	if s.comp != nil || other.comp != nil {
-		a, b := s.Compress(), other.Compress()
-		if a.comp == nil {
-			return b
-		}
-		if b.comp == nil {
-			return a
-		}
-		u := unionContainers(a.comp, b.comp)
-		if u.n == 0 {
-			return Set{}
-		}
-		return Set{comp: u}
-	}
 	out := make([]uint32, 0, len(s.addrs)+len(other.addrs))
 	i, j := 0, 0
 	for i < len(s.addrs) && j < len(other.addrs) {
@@ -351,20 +243,8 @@ func (s Set) Union(other Set) Set {
 	return Set{addrs: out}
 }
 
-// Intersect returns s ∩ other. If either side is compressed the result
-// is compressed and computed container-wise.
+// Intersect returns s ∩ other.
 func (s Set) Intersect(other Set) Set {
-	if s.comp != nil || other.comp != nil {
-		a, b := s.Compress(), other.Compress()
-		if a.comp == nil || b.comp == nil {
-			return Set{}
-		}
-		x := intersectContainers(a.comp, b.comp)
-		if x.n == 0 {
-			return Set{}
-		}
-		return Set{comp: x}
-	}
 	small, large := s.addrs, other.addrs
 	var out []uint32
 	i, j := 0, 0
@@ -383,23 +263,8 @@ func (s Set) Intersect(other Set) Set {
 	return Set{addrs: out}
 }
 
-// Difference returns s \ other. If either side is compressed the result
-// is compressed and computed container-wise.
+// Difference returns s \ other.
 func (s Set) Difference(other Set) Set {
-	if s.comp != nil || other.comp != nil {
-		a, b := s.Compress(), other.Compress()
-		if a.comp == nil {
-			return Set{}
-		}
-		if b.comp == nil {
-			return a
-		}
-		d := differenceContainers(a.comp, b.comp)
-		if d.n == 0 {
-			return Set{}
-		}
-		return Set{comp: d}
-	}
 	var out []uint32
 	i, j := 0, 0
 	for i < len(s.addrs) {
@@ -417,15 +282,13 @@ func (s Set) Difference(other Set) Set {
 }
 
 // Filter returns the subset of addresses for which keep returns true.
-// The result is plain regardless of the input representation.
 func (s Set) Filter(keep func(netaddr.Addr) bool) Set {
 	var out []uint32
-	s.Each(func(a netaddr.Addr) bool {
-		if keep(a) {
-			out = append(out, uint32(a))
+	for _, u := range s.addrs {
+		if keep(netaddr.Addr(u)) {
+			out = append(out, u)
 		}
-		return true
-	})
+	}
 	return Set{addrs: out}
 }
 

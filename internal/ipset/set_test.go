@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"unclean/internal/netaddr"
+	"unclean/internal/stats"
 )
 
 func TestFromUint32sDedup(t *testing.T) {
@@ -200,4 +201,37 @@ func TestAddrsCopy(t *testing.T) {
 	if !s.Contains(netaddr.MustParseAddr("1.1.1.1")) {
 		t.Fatal("Addrs shares backing storage")
 	}
+}
+
+// TestBuilderSortedFastPath checks Build returns identical sets with and
+// without the sorted fast path, including the AddSet append pattern the
+// evaluator's compact() uses.
+func TestBuilderSortedFastPath(t *testing.T) {
+	rng := stats.NewRNG(61)
+	base := randomSet(rng, 5000)
+	// Sorted input: AddSet then in-order Adds.
+	b := NewBuilder(0)
+	b.Grow(base.Len() + 10)
+	b.AddSet(base)
+	if !b.sorted {
+		t.Fatal("AddSet of a sorted set should keep the builder sorted")
+	}
+	last := uint32(base.At(base.Len() - 1))
+	for i := uint32(1); i <= 10; i++ {
+		b.Add(netaddr.Addr(last + i))
+	}
+	if !b.sorted {
+		t.Fatal("in-order Adds should keep the builder sorted")
+	}
+	got := b.Build()
+	// Reference: same membership built out of order.
+	b2 := NewBuilder(0)
+	for i := uint32(10); i >= 1; i-- {
+		b2.Add(netaddr.Addr(last + i))
+	}
+	b2.AddSet(base)
+	if b2.sorted {
+		t.Fatal("out-of-order input should clear the sorted flag")
+	}
+	sameAddrs(t, "fastpath", got, b2.Build())
 }

@@ -29,6 +29,9 @@ import (
 
 const magic = "# unclean report v1"
 
+// maxLine is the longest line Read accepts, newline excluded.
+const maxLine = 64*1024 - 1
+
 // Write serializes the report to w in the text format.
 func (r *Report) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -55,7 +58,7 @@ func (r *Report) Write(w io.Writer) error {
 // all header fields, and every address.
 func Read(rd io.Reader) (*Report, error) {
 	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 64*1024), 64*1024)
+	sc.Buffer(make([]byte, 64*1024), maxLine+1)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("report: empty input")
 	}
@@ -90,6 +93,12 @@ func Read(rd io.Reader) (*Report, error) {
 			return nil, fmt.Errorf("report: line %d: malformed header %q", line, text)
 		}
 		value = strings.TrimSpace(value)
+		// Write emits "key: value", which can be a byte longer than the
+		// line read; refuse a header whose written form would not read
+		// back.
+		if len(key)+2+len(value) > maxLine {
+			return nil, fmt.Errorf("report: line %d: header %q longer than %d bytes", line, key, maxLine)
+		}
 		var err error
 		switch key {
 		case "tag":
